@@ -10,7 +10,9 @@ Subcommands:
     demo-inconsistency  linear partial-sum growth under uniform superlinearity
 
 Exit codes: 0 success, 1 partial result, 2 refutation or violation,
-3 inconclusive-only, 64 malformed configuration or usage.
+3 inconclusive-only, 64 malformed configuration or usage, 70 numerical
+failure (a primitive that cannot be evaluated, a failed mountain pass or
+fountain geometry).
 """
 
 from __future__ import annotations
@@ -21,18 +23,21 @@ from pathlib import Path
 from typing import Optional
 
 from .config import ConfigError, RunConfig, parse_config_text
+from .fountain import FountainGeometryError, fountain_table
 from .hypotheses import (CONDITIONS, PreconditionViolation, check_all,
-                         inconsistency_demo)
+                         check_hypothesis, inconsistency_demo)
 from .lattice import LatticeSeq
+from .nonlinearity import EvaluationError
 from .records import (save_json, save_plot_csv, save_table_csv,
                       solution_record)
-from .solver import newton_solve, solution_sequence
+from .solver import MountainPassError, newton_solve, solution_sequence
 
 EXIT_OK = 0
 EXIT_PARTIAL = 1
 EXIT_REFUTED = 2
 EXIT_INCONCLUSIVE = 3
 EXIT_USAGE = 64
+EXIT_NUMERICAL = 70
 
 
 class _UsageError(Exception):
@@ -166,9 +171,6 @@ def _fountain_n_list(cfg: RunConfig, size: int) -> list:
 
 
 def cmd_fountain(cfg: RunConfig, seed: Optional[int], outdir: Path, quiet: bool) -> int:
-    from .fountain import fountain_table  # deferred: heavy module
-    from .hypotheses import check_hypothesis
-
     prob = cfg.build_problem()
     scfg = cfg.build_solver(seed)
     n_list = _fountain_n_list(cfg, prob.window.size)
@@ -298,6 +300,9 @@ def run(argv=None) -> int:
     except ValueError as exc:  # invariant violations raised by the types
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (EvaluationError, MountainPassError, FountainGeometryError) as exc:
+        print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 def main() -> None:

@@ -34,8 +34,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .lattice import (CoefficientField, ProblemSpec, Window, energy_many,
-                      phi_p, weighted_norm_many)
+from .lattice import (CoefficientField, ProblemSpec, Window, _diff_many,
+                      energy_many, phi_p, weighted_norm_many)
+from .nonlinearity import EvaluationError
 
 __all__ = [
     "FountainGeometryError",
@@ -60,6 +61,12 @@ _SLACK = 1e-9
 # Threshold amplitudes are useful only while rho^p and F(k, rho-scale)
 # stay inside float64; past ~1e140 the energy evaluation itself overflows.
 _T_SEARCH_MAX = 1e140
+# Two evaluations of F at the same point can differ in their last bits
+# (vectorized and scalar kernels round differently); the threshold screen
+# drops a grid point only when its margin is negative by far more than that.
+_SCREEN_RTOL = 1e-6
+# Sign vertices evaluated per batch by the exhaustive C_n search.
+_VERTEX_BLOCK = 4096
 
 
 class FountainGeometryError(RuntimeError):
@@ -123,7 +130,7 @@ def _embed(window: Window, sites: np.ndarray, coords: np.ndarray) -> np.ndarray:
 
 def _norm_gradient(V: np.ndarray, coeffs: CoefficientField, p: float) -> np.ndarray:
     """Gradient of ||u||^p / p (the coercive part of the energy)."""
-    d = np.diff(V, axis=-1, prepend=0.0, append=0.0)
+    d = _diff_many(V)
     flux = coeffs.a * phi_p(p, d)
     return -np.diff(flux, axis=-1) + coeffs.b * phi_p(p, V)
 
@@ -249,9 +256,15 @@ def sup_norm_constant(split: BasisSplit, lam: float, starts: int = 16,
     window = split.window
     rng = np.random.default_rng(seed)
     if m <= 16:
-        patterns = np.array(np.meshgrid(*([[-1.0, 1.0]] * m), indexing="ij"))
-        patterns = patterns.reshape(m, -1).T
-        best = float(np.max(_vertex_objective(split.coeffs, split.p, window, sites, patterns)))
+        # all 2^m vertices, _VERTEX_BLOCK at a time: bit j of the vertex
+        # number (most significant first) gives the sign at site j
+        shifts = np.arange(m - 1, -1, -1)
+        best = -np.inf
+        for lo in range(0, 2 ** m, _VERTEX_BLOCK):
+            number = np.arange(lo, min(lo + _VERTEX_BLOCK, 2 ** m))
+            signs = ((number[:, None] >> shifts) & 1) * 2.0 - 1.0
+            vals = _vertex_objective(split.coeffs, split.p, window, sites, signs)
+            best = max(best, float(np.max(vals)))
     else:
         signs = np.sign(rng.standard_normal((starts, m)))
         signs[signs == 0] = 1.0
@@ -293,26 +306,78 @@ def superlinearity_threshold(prob: ProblemSpec, c_sup: float, h_n: int,
     For drives with nonnegative curly_F the ratio F / t^p is nondecreasing,
     so a pass on [T, 10T] extends to all t >= T and the first passing T can
     be bisected; for other drives the scan is a heuristic.
+
+    The scan over the geometric T grid is screened.  Each grid point T is
+    also the first of the ``t_samples`` points that test T (geomspace returns
+    its start exactly), so the margin F(k, T) - 2 C_n T^p is evaluated at the
+    grid points themselves, in grid order and in blocks of 1, 2, 4, ...
+    points.  A point is dropped when its margin is not finite, or negative
+    by more than rounding can explain (``_SCREEN_RTOL`` of |F| + 2 C_n T^p).
+    Only the points that survive, and every bisection step, run the full
+    [T, 10T] test.  The screen drops no point the test would pass, so the
+    result, or the raise, is that of testing every grid point in turn; and a
+    drive that passes at grid index i costs at most 2i + 1 screened points
+    on top of the tests.  A block may reach past the T the scan stops at.
+    Where F raises ``EvaluationError`` on a block (a quadrature primitive
+    at large t), only the block's first point is screened, so the screen
+    raises only at a grid point the per-point scan evaluates as well.
+    Wherever that scan returns a T, this one returns the same T; where it
+    raises ``EvaluationError`` on a sample of a grid point the screen drops,
+    this one may go on and find a T.  When no T passes, the error says why:
+    which of F and 2 C_n |t|^p first left float64 range, and at which grid
+    T, or else the margin still reached at ``t_hi``.
     """
-    k = np.arange(-h_n, h_n + 1)
+    k = np.arange(-h_n, h_n + 1)[:, None]
+
+    def margins(ts: np.ndarray):
+        """F(k, t), 2 C_n |t|^p and their difference, one column per t."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            F = prob.nonlinearity.F(k, ts[None, :])
+            lead = 2.0 * c_sup * ts ** prob.p
+            return F, lead, F - lead
 
     def passes(T: float) -> bool:
-        ts = np.geomspace(T, 10.0 * T, t_samples)
-        with np.errstate(over="ignore"):
-            margin = prob.nonlinearity.F(k[:, None], ts[None, :]) - 2.0 * c_sup * ts ** prob.p
+        margin = margins(np.geomspace(T, 10.0 * T, t_samples))[2]
         return bool(np.all(np.isfinite(margin)) and np.min(margin) >= 0.0)
 
     grid = np.geomspace(t_lo, t_hi, max(2, int(8 * math.log10(t_hi / t_lo))))
     hit = None
-    for i, T in enumerate(grid):
-        if passes(float(T)):
-            hit = i
-            break
+    overflow = None  # the first grid point with a non-finite margin
+    start, size = 0, 1
+    while hit is None and start < grid.size:
+        stop = start + size
+        size *= 2
+        try:
+            F, lead, margin = margins(grid[start:stop])
+        except EvaluationError:
+            # F fails somewhere in the block: screen its first point alone,
+            # which the per-point scan evaluates too, so a raise here is its raise
+            stop = start + 1
+            F, lead, margin = margins(grid[start:stop])
+        block = grid[start:stop]
+        finite = np.all(np.isfinite(margin), axis=0)
+        if overflow is None and not np.all(finite):
+            j = int(np.argmin(finite))
+            what = [name for name, bad in (("F", not np.all(np.isfinite(F[:, j]))),
+                                           ("2C|t|^p", not np.isfinite(lead[j]))) if bad]
+            overflow = (" and ".join(what) or "F - 2C|t|^p", float(block[j]))
+        keep = finite & np.all(margin >= -_SCREEN_RTOL * (np.abs(F) + lead), axis=0)
+        for j in np.flatnonzero(keep):
+            if passes(float(block[j])):
+                hit = start + int(j)
+                break
+        start = stop
     if hit is None:
+        if overflow is not None:
+            why = f"{overflow[0]} became non-finite at t = {overflow[1]:.2e}"
+        elif np.min(margin[:, -1]) < 0.0:
+            why = (f"the margin F - 2C|t|^p is still {np.min(margin[:, -1]):.3e} "
+                   f"at t = {t_hi:.2e}")
+        else:
+            why = "every grid point with a nonnegative margin fails on [T, 10T]"
         raise FountainGeometryError(
             f"no threshold T with F >= 2 C |t|^p on |k| <= {h_n} below "
-            f"t = {t_hi:.2e}: the drive is too weak on this support, or the "
-            f"threshold amplitude exceeds the float64-safe range")
+            f"t = {t_hi:.2e}: {why}")
     if hit == 0:
         return float(grid[0])
     lo, hi = float(grid[hit - 1]), float(grid[hit])

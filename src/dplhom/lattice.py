@@ -232,12 +232,15 @@ def phi_p(p: float, t):
     """Odd power map |t|^(p-2) t, continuously extended by 0 at t = 0."""
     if not p > 1.0:
         raise ValueError(f"phi_p requires p > 1, got p={p}")
-    t_arr = np.asarray(t, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(t_arr == 0.0, 0.0, np.abs(t_arr) ** (p - 2.0) * t_arr)
-    if np.ndim(t) == 0:
-        return float(out)
-    return out
+    # Adding 0.0 maps t = -0.0 to +0.0 (phi_p(-0.0) = +0.0) and changes no
+    # other value; raising 1 in place of |t| = 0 keeps 0^(p-2) = inf out for
+    # p < 2, so no floating-point state needs masking.
+    t = np.add(t, 0.0, dtype=float)
+    out = np.abs(t)
+    out += out == 0.0
+    out **= p - 2.0
+    out *= t
+    return float(out) if out.ndim == 0 else out
 
 
 def phi_p_prime(p: float, t, cap: Optional[float] = 1e8):
@@ -256,8 +259,15 @@ def phi_p_prime(p: float, t, cap: Optional[float] = 1e8):
 
 
 def _diff_many(V: np.ndarray) -> np.ndarray:
-    """Forward differences of the zero-extended values, shape (..., n+1)."""
-    return np.diff(V, axis=-1, prepend=0.0, append=0.0)
+    """Forward differences of the zero-extended values, shape (..., n+1).
+
+    Entry j is V[j] - V[j-1] with V[-1] = V[n] = 0, so the first entry is
+    V[0] and the last is 0.0 - V[n-1] (which is +0.0 when V[n-1] = -0.0).
+    """
+    out = np.zeros(V.shape[:-1] + (V.shape[-1] + 1,))
+    out[..., :-1] = V
+    out[..., 1:] -= V
+    return out
 
 
 def forward_diff(u: LatticeSeq) -> np.ndarray:

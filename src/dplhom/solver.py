@@ -700,11 +700,16 @@ def solution_sequence(prob: ProblemSpec, cfg: SolverConfig, n_target: int) -> So
 
 
 def _strict_ladder(pool: SolutionSet, gap: float = 1e-8) -> list:
-    """Greedy strictly-increasing-energy subsequence of the pool."""
+    """Greedy strictly-increasing-energy subsequence of the pool.
+
+    A rung must clear the previous one by ``gap`` times max(1, |J|): an
+    absolute gap below |J| = 1, a relative one above, so that energies equal
+    up to rounding (mirror-image states at large |J|) count as equal.
+    """
     ladder = []
     last = -np.inf
     for r in pool:
-        if r.energy > last + gap:
+        if r.energy > last + gap * max(1.0, abs(r.energy)):
             ladder.append(r)
             last = r.energy
     return ladder

@@ -6,8 +6,11 @@ rather than through the library's own code paths, so a test that compares
 the two is a genuine cross-check.
 """
 
+import math
+
 import numpy as np
 
+from dplhom.fountain import FountainGeometryError
 from dplhom.lattice import energy_many, residual_many
 
 
@@ -144,3 +147,53 @@ def sets_match(set_a, set_b, tol=1e-6):
         if not any(np.max(np.abs(v - w)) <= tol for w in b):
             return False, a, b
     return True, a, b
+
+
+def literal_phi_p(p, t):
+    """phi_p straight from its definition: 0 at t = 0, else |t|^(p-2) t."""
+    t_arr = np.asarray(t, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.where(t_arr == 0.0, 0.0, np.abs(t_arr) ** (p - 2.0) * t_arr)
+    return float(out) if np.ndim(t) == 0 else out
+
+
+def literal_diff(V):
+    """Forward differences of the zero-extended rows, by concatenation."""
+    V = np.asarray(V, dtype=float)
+    zero = np.zeros(V.shape[:-1] + (1,))
+    return np.concatenate([V, zero], axis=-1) - np.concatenate([zero, V], axis=-1)
+
+
+def per_point_threshold(prob, c_sup, h_n, t_lo=1e-3, t_hi=1e140, t_samples=64):
+    """Superlinearity threshold by the plain scan: test every grid T in order.
+
+    Each test samples [T, 10T] on |k| <= h_n; the first passing grid point
+    is refined by 60 bisection steps.  No screening.
+    """
+    k = np.arange(-h_n, h_n + 1)
+
+    def passes(T):
+        ts = np.geomspace(T, 10.0 * T, t_samples)
+        with np.errstate(over="ignore"):
+            margin = prob.nonlinearity.F(k[:, None], ts[None, :]) - 2.0 * c_sup * ts ** prob.p
+        return bool(np.all(np.isfinite(margin)) and np.min(margin) >= 0.0)
+
+    grid = np.geomspace(t_lo, t_hi, max(2, int(8 * math.log10(t_hi / t_lo))))
+    hit = None
+    for i, T in enumerate(grid):
+        if passes(float(T)):
+            hit = i
+            break
+    if hit is None:
+        raise FountainGeometryError(
+            f"no threshold T with F >= 2 C |t|^p on |k| <= {h_n} below t = {t_hi:.2e}")
+    if hit == 0:
+        return float(grid[0])
+    lo, hi = float(grid[hit - 1]), float(grid[hit])
+    for _ in range(60):
+        mid = math.sqrt(lo * hi)
+        if passes(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi

@@ -90,6 +90,30 @@ def test_cli_malformed_config_exit_code(tmp_path):
     assert run_cli("check", cfg, tmp_path / "out") == cli.EXIT_USAGE
 
 
+def test_cli_numerical_failure_exit_code(tmp_path, capsys):
+    # nu != p sends the log-power primitive through quadrature, which fails
+    # at t = 1000 during the audit
+    lines = [ln.replace("nu = 2.0", "nu = 3.0") for ln in LOG_POWER_LINES]
+    cfg = write_config(tmp_path, lines)
+    assert run_cli("check", cfg, tmp_path / "out") == cli.EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: EvaluationError: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("error", [cli.EvaluationError, cli.MountainPassError,
+                                   cli.FountainGeometryError])
+def test_cli_library_errors_map_to_numerical_exit(tmp_path, monkeypatch, error):
+    def fail(*args):
+        raise error("cannot continue")
+
+    monkeypatch.setitem(cli._HANDLERS, "solve", fail)
+    cfg = write_config(tmp_path, PURE_POWER_LINES)
+    assert run_cli("solve", cfg, tmp_path / "out") == cli.EXIT_NUMERICAL
+    assert len({cli.EXIT_OK, cli.EXIT_PARTIAL, cli.EXIT_REFUTED, cli.EXIT_INCONCLUSIVE,
+                cli.EXIT_USAGE, cli.EXIT_NUMERICAL}) == 6
+
+
 # ---- check -------------------------------------------------------------------
 
 def test_check_log_power_main_conditions(tmp_path):

@@ -1,16 +1,20 @@
+import math
+
 import numpy as np
 import pytest
 
 from dplhom import (BasisSplit, CoefficientField, CustomNonlinearity,
-                    FountainGeometryError, LatticeSeq, LogPower, ProblemSpec,
-                    PurePower, Window, embedding_constant, embedding_maximizer,
+                    EvaluationError, FountainGeometryError, LatticeSeq,
+                    LogPower, ProblemSpec, PurePower, Window, embedding_constant, embedding_maximizer,
                     embedding_profile,
                     energy_many, fountain_table, lp_norm, sample_sphere,
                     sup_norm_constant, superlinearity_threshold,
                     verify_energy_ceiling, verify_energy_floor,
                     weighted_norm, weighted_norm_many, y_sphere_radius,
                     z_sphere_radius)
+import dplhom.fountain as fountain
 from dplhom.fountain import spiral_sites
+from oracles import per_point_threshold
 
 
 @pytest.fixture(scope="module")
@@ -176,6 +180,24 @@ def test_sup_norm_constant_greedy_branch():
     assert c_big >= c_small - 1e-12
 
 
+def test_sup_norm_constant_exhaustive_search_in_bounded_blocks(monkeypatch):
+    coeffs = CoefficientField.polynomial(Window(6), exponent=2.0)
+    split = BasisSplit(coeffs, 2.0, 13)
+    sizes = []
+    objective = fountain._vertex_objective
+
+    def spy(*args):
+        sizes.append(args[-1].shape[0])
+        return objective(*args)
+
+    monkeypatch.setattr(fountain, "_vertex_objective", spy)
+    got = sup_norm_constant(split, lam=1.0, seed=0)
+    assert sizes == [4096, 4096]
+    signs = np.array(np.meshgrid(*([[-1.0, 1.0]] * 13), indexing="ij")).reshape(13, -1).T
+    V = fountain._embed(split.window, split.y_sites, signs)
+    assert got == float(np.max(weighted_norm_many(V, coeffs, 2.0) ** 2.0)) / 2.0
+
+
 # ---- superlinearity threshold ----------------------------------------------------
 
 def test_threshold_closed_form_quartic():
@@ -188,8 +210,96 @@ def test_threshold_closed_form_quartic():
 def test_threshold_no_drive_errors():
     prob = ProblemSpec(2.0, 1.0, CoefficientField.constant(Window(3)),
                        CustomNonlinearity.zero(2.0))
-    with pytest.raises(FountainGeometryError):
+    with pytest.raises(FountainGeometryError,
+                       match=r"^no threshold T .*: the margin F - 2C\|t\|\^p is still "
+                             r"-2\.000e\+20 at t = 1\.00e\+10$"):
         superlinearity_threshold(prob, c_sup=1.0, h_n=0, t_hi=1e10)
+
+
+def _wavy_drive(p=2.0, a=2.2):
+    """F(k, t) = |t|^a (2 + sin(3 ln|t|)) / (1 + k^2): F / |t|^p is not monotone."""
+    def F(k, t):
+        s = abs(t)
+        return 0.0 if s == 0.0 else s ** a * (2.0 + math.sin(3.0 * math.log(s))) / (1.0 + k * k)
+
+    def f(k, t):
+        s = abs(t)
+        if s == 0.0:
+            return 0.0
+        ln = 3.0 * math.log(s)
+        return math.copysign(s ** (a - 1.0) * (a * (2.0 + math.sin(ln)) + 3.0 * math.cos(ln)),
+                             t) / (1.0 + k * k)
+    return CustomNonlinearity(p, f, F_scalar=F, odd=True, name="wavy")
+
+
+_THRESHOLD_DRIVES = {
+    "pure_power_q4": PurePower(2.0, 4.0),
+    "pure_power_p3_q3.5": PurePower(3.0, 3.5, c=0.5),
+    "log_power_nu_eq_p": LogPower(2.0, 2.0, 2.0),
+    "log_power_p3": LogPower(3.0, 1.5, 3.0),
+    "zero_p2": CustomNonlinearity.zero(2.0),
+    "zero_p3": CustomNonlinearity.zero(3.0),
+    "wavy": _wavy_drive(),
+    # F by quadrature, which fails at some large t
+    "log_power_nu3_quad": LogPower(2.0, 2.0, 3.0),
+    "log_power_p1.5_nu1_quad": LogPower(1.5, 2.0, 1.0),
+    "cubic_quad": CustomNonlinearity(2.0, lambda k, t: t ** 3 / (1.0 + abs(k)),
+                                     odd=True, name="cubic_quad"),
+}
+
+
+@pytest.mark.parametrize("h_n", [0, 1, 3])
+@pytest.mark.parametrize("c_sup", [0.5, 3.0, 422.00000000000006])
+@pytest.mark.parametrize("drive", sorted(_THRESHOLD_DRIVES))
+def test_threshold_screen_matches_per_point_scan(drive, c_sup, h_n):
+    nl = _THRESHOLD_DRIVES[drive]
+    prob = ProblemSpec(nl.p, 1.0, CoefficientField.constant(Window(4)), nl)
+    try:
+        want = per_point_threshold(prob, c_sup, h_n)
+    except FountainGeometryError as exc:
+        with pytest.raises(FountainGeometryError) as got:
+            superlinearity_threshold(prob, c_sup, h_n)
+        assert str(got.value).startswith(str(exc) + ": ")
+    except EvaluationError:
+        # the plain scan failed on a sample of a T the screen may drop
+        try:
+            superlinearity_threshold(prob, c_sup, h_n)
+        except (EvaluationError, FountainGeometryError):
+            pass
+    else:
+        got = superlinearity_threshold(prob, c_sup, h_n)
+        assert type(got) is float and got == want
+
+
+def test_threshold_screen_does_not_raise_past_the_hit():
+    """F fails above t = 1000, which the per-point scan never reaches.
+
+    The hit is grid point 31 (T = 7.56, passing on [T, 10T] since
+    2 C = 56 <= T^2); the screen block holding it runs to grid point 62,
+    T = 5.7e4, where F raises.
+    """
+    def F(k, t):
+        if abs(t) > 1e3:
+            raise EvaluationError(f"no primitive at t={t}")
+        return t ** 4
+
+    quartic = CustomNonlinearity(2.0, lambda k, t: 4.0 * t ** 3, F_scalar=F,
+                                 odd=True, name="quartic_to_1e3")
+    prob = ProblemSpec(2.0, 1.0, CoefficientField.constant(Window(3)), quartic)
+    want = per_point_threshold(prob, c_sup=28.0, h_n=1)
+    assert 7.4 < want < 7.6
+    assert superlinearity_threshold(prob, c_sup=28.0, h_n=1) == want
+
+
+def test_threshold_note_names_the_overflowing_term():
+    coeffs = CoefficientField.constant(Window(3))
+    zero3 = ProblemSpec(3.0, 1.0, coeffs, CustomNonlinearity.zero(3.0))
+    with pytest.raises(FountainGeometryError, match=r": 2C\|t\|\^p became non-finite at t = "):
+        superlinearity_threshold(zero3, c_sup=1.0, h_n=0)
+    sink = CustomNonlinearity(2.0, lambda k, t: -4.0 * t ** 3,
+                              F_scalar=lambda k, t: -np.float64(t) ** 4, name="sink")
+    with pytest.raises(FountainGeometryError, match=r": F became non-finite at t = 1\.[0-9]{2}e\+77$"):
+        superlinearity_threshold(ProblemSpec(2.0, 1.0, coeffs, sink), c_sup=1.0, h_n=1)
 
 
 def test_y_radius_strictly_dominates():

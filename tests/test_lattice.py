@@ -1,12 +1,26 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dplhom import (CoefficientField, CustomNonlinearity, LatticeSeq, LogPower,
                     ProblemSpec, Window, cerami_metric, energy,
                     energy_parts, forward_diff, lp_norm, phi_p, phi_p_prime,
                     residual, residual_many, sup_norm, tail_mass, weighted_norm)
 from conftest import make_constant_problem, random_problem
-from oracles import direct_weighted_norm, fd_gradient
+from dplhom.lattice import _diff_many
+from oracles import direct_weighted_norm, fd_gradient, literal_diff, literal_phi_p
+
+# finite doubles with both zeros and the subnormals; exponents above and below 2
+_REALS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([0.0, -0.0])
+_EXPONENTS = st.sampled_from([1.1, 1.5, 2.0, 2.5, 3.0, 4.0]) | st.floats(1.01, 6.0)
+_ARRAYS = hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=3, max_side=6),
+                     elements=_REALS)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).tobytes()
 
 
 # ---- phi_p ---------------------------------------------------------------
@@ -28,6 +42,31 @@ def test_phi_p_rejects_p_not_above_one():
         phi_p(1.0, 2.0)
     with pytest.raises(ValueError):
         phi_p(0.5, 2.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_EXPONENTS, _ARRAYS)
+def test_phi_p_matches_literal_formula_on_arrays(p, t):
+    with np.errstate(over="ignore"):
+        got, want = phi_p(p, t), literal_phi_p(p, t)
+    assert isinstance(got, np.ndarray) and got.shape == t.shape
+    assert _bits(got) == _bits(want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_EXPONENTS, _REALS, st.booleans())
+def test_phi_p_matches_literal_formula_on_scalars(p, x, zero_dim):
+    t = np.array(x) if zero_dim else x
+    with np.errstate(over="ignore"):
+        got, want = phi_p(p, t), literal_phi_p(p, t)
+    assert type(got) is float
+    assert _bits(got) == _bits(want)
+
+
+def test_phi_p_signed_zero_maps_to_positive_zero():
+    for p in (1.5, 2.0, 3.0):
+        for t in (-0.0, np.array(-0.0), np.array([-0.0, 0.0])):
+            assert _bits(phi_p(p, t)) == _bits(np.zeros(np.shape(t)))
 
 
 def test_phi_p_prime_clamps_near_zero():
@@ -107,6 +146,20 @@ def test_forward_diff_random_elementwise(rng):
     ext = np.concatenate([[0.0], u_vals, [0.0]])
     expected = [ext[j + 1] - ext[j] for j in range(6)]
     assert np.allclose(d, expected, rtol=0, atol=0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ARRAYS)
+def test_diff_many_matches_literal_formula(V):
+    got = _diff_many(V)
+    assert got.shape == V.shape[:-1] + (V.shape[-1] + 1,)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _bits(got) == _bits(literal_diff(V))
+
+
+def test_diff_many_keeps_the_sign_of_zero():
+    d = _diff_many(np.array([-0.0, 1.0, -0.0]))
+    assert _bits(d) == _bits([-0.0, 1.0, -1.0, 0.0])
 
 
 # ---- norms -----------------------------------------------------------------

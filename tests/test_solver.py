@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from dplhom import (LatticeSeq, LogPower,
-                    MountainPassError, SolutionSet,
+                    MountainPassError, SolutionSet, SolveResult,
                     SolverConfig, Window, bump_amplitude, deflated_solve,
                     energy, energy_parts, find_critical_points, mountain_pass,
                     newton_solve, residual, solution_sequence, sup_norm,
                     weighted_norm, window_continuation)
+from dplhom.solver import _strict_ladder
 from conftest import (make_constant_problem, make_pure_power_problem,
                       make_reference_problem)
 from oracles import multistart_flow_newton, sets_match
@@ -250,6 +251,32 @@ def test_solution_set_merge_order_independent(cfg):
     assert len(a) == len(b)
     for ra, rb in zip(a, b):
         assert np.array_equal(ra.u.values, rb.u.values)
+
+
+def _stored(window, site, energy):
+    return SolveResult(u=LatticeSeq.spike(window, site, 1.0), energy=energy,
+                       residual_inf_norm=0.0, cerami_metric=0.0, tail_mass=0.0,
+                       tail_threshold=0, iterations=0, converged=True)
+
+
+def test_strict_ladder_treats_rounding_level_gaps_as_equal():
+    # mirror-image rungs of equal true energy whose computed energies differ
+    # in the last bits (seen at K=100 with lambda=1, b=1+|k|^1.5, mu=2.5)
+    window = Window(3)
+    pool = SolutionSet(tol=1e-6)
+    for site, J in ((0, 1.25e8), (1, 261142232.44972134), (-1, 261142232.4497223),
+                    (2, 261142300.0)):
+        pool.add(_stored(window, site, J))
+    assert [r.energy for r in _strict_ladder(pool)] == [1.25e8, 261142232.44972134,
+                                                        261142300.0]
+
+
+def test_strict_ladder_gap_is_absolute_below_unit_energy():
+    window = Window(3)
+    pool = SolutionSet(tol=1e-6)
+    for site, J in ((0, 0.5), (1, 0.5 + 5e-9), (-1, 0.5 + 2e-8), (2, 3.0)):
+        pool.add(_stored(window, site, J))
+    assert [r.energy for r in _strict_ladder(pool)] == [0.5, 0.5 + 2e-8, 3.0]
 
 
 # ---- amplitude balance / sequence ------------------------------------------------
