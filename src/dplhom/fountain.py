@@ -34,7 +34,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .lattice import (CoefficientField, ProblemSpec, Window, _diff_many,
+from .lattice import (CoefficientField, ProblemSpec, Window, _norm_gradient,
                       energy_many, phi_p, weighted_norm_many)
 from .nonlinearity import EvaluationError
 
@@ -126,13 +126,6 @@ def _embed(window: Window, sites: np.ndarray, coords: np.ndarray) -> np.ndarray:
     out = np.zeros(coords.shape[:-1] + (window.size,))
     out[..., sites + window.half_width] = coords
     return out
-
-
-def _norm_gradient(V: np.ndarray, coeffs: CoefficientField, p: float) -> np.ndarray:
-    """Gradient of ||u||^p / p (the coercive part of the energy)."""
-    d = _diff_many(V)
-    flux = coeffs.a * phi_p(p, d)
-    return -np.diff(flux, axis=-1) + coeffs.b * phi_p(p, V)
 
 
 def _ratio_ascent(coeffs: CoefficientField, p: float, q: float, window: Window,

@@ -319,15 +319,17 @@ def energy(u: LatticeSeq, prob: ProblemSpec) -> float:
     return float(energy_many(u.values, prob))
 
 
+def _norm_gradient(V: np.ndarray, coeffs: CoefficientField, p: float) -> np.ndarray:
+    """Gradient of ||u||^p / p (the coercive part of the energy), batched."""
+    flux = coeffs.a * phi_p(p, _diff_many(V))
+    return -np.diff(flux, axis=-1) + coeffs.b * phi_p(p, V)
+
+
 def residual_many(V: np.ndarray, prob: ProblemSpec) -> np.ndarray:
     """Coordinate gradient of the energy, batched over leading axes."""
     V = np.asarray(V, dtype=float)
-    d = _diff_many(V)
-    flux = prob.coeffs.a * phi_p(prob.p, d)
-    k = prob.window.indices
-    return (-np.diff(flux, axis=-1)
-            + prob.coeffs.b * phi_p(prob.p, V)
-            - prob.lam * prob.nonlinearity.f(k, V))
+    return (_norm_gradient(V, prob.coeffs, prob.p)
+            - prob.lam * prob.nonlinearity.f(prob.window.indices, V))
 
 
 def residual(u: LatticeSeq, prob: ProblemSpec) -> LatticeSeq:

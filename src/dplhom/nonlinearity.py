@@ -48,6 +48,7 @@ __all__ = [
 
 WEIGHT_CONVENTIONS = ("one_plus_abs", "abs_nonzero")
 
+_FLOAT_MAX = float(np.finfo(float).max)
 _QUAD_ABS_TOL = 1e-10
 _QUAD_LIMIT = 200
 
@@ -138,7 +139,9 @@ class LogPower(Nonlinearity):
     def _primitive(self, s: np.ndarray) -> np.ndarray:
         """G on |t|; even extension handled by the caller."""
         if self.nu == self.p:
-            sp = s ** self.p
+            # s^p capped at the largest float: an overflowed s^p would make
+            # G = inf - inf = nan where it is +inf
+            sp = np.minimum(s ** self.p, _FLOAT_MAX)
             return ((1.0 + sp) * np.log1p(sp) - sp) / self.p
         flat = np.ravel(s)
         vals = np.fromiter((_log_primitive_quad(self.p, self.nu, float(x)) for x in flat),

@@ -9,6 +9,13 @@ The workhorses:
     solution_sequence   assemble distinct solutions with increasing energy
     find_critical_points  deflation-based enumeration of all reachable roots
 
+newton_solve and deflated_solve share one damped Newton loop.  Deflation
+multiplies the residual by M(v) = prod_i (1 + ||v - w_i||^-p) over the known
+roots w_i and their negations.  The Jacobian M J + r grad(M)^T of M r is
+tridiagonal plus rank one, so by Sherman-Morrison its Newton step is the
+plain tridiagonal step delta times the scalar 1 / (1 - grad(log M).delta)
+(Farrell, Birkisson & Funke, SIAM J. Sci. Comput. 37, 2015).
+
 Convergence is always declared on the infinity norm of the residual, never
 on step size (steps can stagnate near clamped Jacobian entries for p < 2).
 Every returned result re-evaluates its diagnostics from scratch rather
@@ -19,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -73,6 +80,14 @@ class SolverConfig:
             raise ValueError("tolerances must be positive")
         if not (0.0 < self.ls_shrink < 1.0):
             raise ValueError("line-search shrink factor must lie in (0, 1)")
+        if not (0.0 < self.ls_decrease < 0.5):
+            raise ValueError("line-search decrease factor must lie in (0, 1/2)")
+        if self.max_iter < 1 or self.max_backtracks < 1:
+            raise ValueError("max_iter and max_backtracks must be at least 1")
+        if not (0.0 < self.tail_fraction < 1.0):
+            raise ValueError("tail fraction must lie in (0, 1)")
+        if not self.dedup_tol > 0:
+            raise ValueError("dedup tolerance must be positive")
         if self.path_points < 3:
             raise ValueError("a path needs at least 3 points")
 
@@ -139,10 +154,25 @@ def _jacobian_bands(v: np.ndarray, prob: ProblemSpec, cfg: SolverConfig) -> np.n
     return ab
 
 
-def _newton_values(v0: np.ndarray, prob: ProblemSpec, cfg: SolverConfig):
-    """Core damped Newton loop on raw values; returns (v, iters, history, note)."""
+def _newton_values(v0: np.ndarray, prob: ProblemSpec, cfg: SolverConfig,
+                   anchors: Optional[np.ndarray] = None):
+    """Core damped Newton loop on raw values; returns (v, iters, history, note).
+
+    With an (m, n) ``anchors`` array the loop runs on the deflated residual
+    M r, M = prod_i (1 + ||v - w_i||^-power).  Its merit is ||M r||^2, and
+    its step is the tridiagonal Newton step delta over 1 - grad(log M).delta:
+    Sherman-Morrison on M J + r grad(M)^T.  Where the plain loop falls back
+    to steepest descent, and at a start that sits on an anchor, the deflated
+    loop stops.
+    """
     v = np.array(v0, dtype=float)
     history = []
+    deflate = anchors is not None
+    stop_note = "deflated iteration diverged" if deflate else "no descent direction made progress"
+    power = cfg.deflation_exponent if cfg.deflation_exponent is not None else prob.p
+
+    def deflation(x):
+        return _deflation_terms(x, anchors, power) if deflate else (1.0, None)
 
     def record(it, r):
         u = LatticeSeq(prob.window, v)
@@ -150,19 +180,23 @@ def _newton_values(v0: np.ndarray, prob: ProblemSpec, cfg: SolverConfig):
                                        energy(u, prob), cerami_metric(u, prob)))
 
     r = residual_many(v, prob)
+    M, dlogM = deflation(v)
     note = ""
     it = 0
     record(it, r)
+    if not math.isfinite(M):  # the start sits on an anchor
+        return v, it, history, stop_note
     while it < cfg.max_iter:
-        r_inf = float(np.max(np.abs(r)))
-        if r_inf <= cfg.residual_tol:
+        if M * float(np.max(np.abs(r))) <= cfg.residual_tol:
             break
         it += 1
-        merit = float(r @ r)
+        merit = float(r @ r) * (M * M)
         ab = _jacobian_bands(v, prob, cfg)
         delta = None
         try:
             cand = solve_banded((1, 1), ab, -r)
+            if deflate:
+                cand = cand / (1.0 - float(dlogM @ cand))
             if np.all(np.isfinite(cand)) and float(np.max(np.abs(cand))) < 1e14:
                 delta = cand
         except np.linalg.LinAlgError:
@@ -173,13 +207,14 @@ def _newton_values(v0: np.ndarray, prob: ProblemSpec, cfg: SolverConfig):
             for _ in range(cfg.max_backtracks):
                 v_try = v + alpha * delta
                 r_try = residual_many(v_try, prob)
-                m_try = float(r_try @ r_try)
+                M_try, dlogM_try = deflation(v_try)
+                m_try = float(r_try @ r_try) * (M_try * M_try)
                 if np.isfinite(m_try) and m_try <= (1.0 - 2.0 * cfg.ls_decrease * alpha) * merit:
-                    v, r = v_try, r_try
+                    v, r, M, dlogM = v_try, r_try, M_try, dlogM_try
                     stepped = True
                     break
                 alpha *= cfg.ls_shrink
-        if not stepped:
+        if not stepped and not deflate:
             # Ill-conditioned or stalled Newton direction: steepest descent
             # on the merit function along -r.
             alpha = 1.0 / (1.0 + float(np.max(np.abs(r))))
@@ -194,7 +229,7 @@ def _newton_values(v0: np.ndarray, prob: ProblemSpec, cfg: SolverConfig):
                 alpha *= cfg.ls_shrink
         record(it, r)
         if not stepped:
-            note = "no descent direction made progress"
+            note = stop_note
             break
     else:
         note = "max_iter exceeded"
@@ -312,104 +347,55 @@ def mountain_pass(u_low: LatticeSeq, u_high: LatticeSeq, prob: ProblemSpec,
     raise MountainPassError("path relaxation budget exhausted before a pass was found")
 
 
-def _deflation_terms(v: np.ndarray, anchors: Sequence[np.ndarray], power: float):
-    """Value and gradient of prod_i (1 + ||v - w_i||^(-power))."""
-    value = 1.0
-    grad = np.zeros_like(v)
-    for w in anchors:
-        dv = v - w
-        s2 = float(dv @ dv)
-        if s2 == 0.0:
-            return np.inf, grad
-        s = math.sqrt(s2)
-        m = 1.0 + s ** (-power)
-        value *= m
-        grad += (-power * s ** (-power - 2.0) / m) * dv
-    return value, value * grad
+def _deflation_terms(v: np.ndarray, anchors: np.ndarray, power: float):
+    """M = prod_i (1 + ||v - w_i||^-power) over the anchor rows, and grad log M.
+
+    M is inf, with no gradient, where v sits exactly on an anchor.
+    """
+    dv = v - anchors
+    s2 = np.einsum("ij,ij->i", dv, dv)
+    if not s2.all():
+        return math.inf, None
+    t = s2 ** (-0.5 * power)
+    m = 1.0 + t
+    return float(m.prod()), (-power * t / (s2 * m)) @ dv
 
 
 def deflated_solve(known, u0: LatticeSeq, prob: ProblemSpec,
                    cfg: SolverConfig) -> SolveResult:
     """Newton on the residual deflated at all known roots and their negations.
 
-    Any root of the deflated residual away from the anchors is a root of the
-    plain residual; the result is polished on the undeflated residual before
-    it is returned.  A polished root that collapses back onto a known anchor
-    is reported with ``converged=False``.
+    Runs the Newton loop of ``newton_solve`` on M r, whose step is the plain
+    tridiagonal step times 1 / (1 - grad(log M).delta).  Any root of M r
+    away from the anchors is a root of r; it is polished on the undeflated
+    residual before it is returned.  A run that stops or runs out of
+    iterations is returned as it stands with ``converged=False``, and so is
+    a polished root that collapses back onto a known anchor.
     """
     anchors = _anchor_values(known)
-    if not anchors:
-        raise ValueError("deflated_solve needs at least one known solution")
-    power = cfg.deflation_exponent if cfg.deflation_exponent is not None else prob.p
-    v = np.array(u0.values, dtype=float)
-    n = v.size
-
-    ok = True
-    for _ in range(cfg.max_iter):
-        r = residual_many(v, prob)
-        M, gradM = _deflation_terms(v, anchors, power)
-        if not np.isfinite(M):
-            ok = False
-            break
-        rt = M * r
-        if float(np.max(np.abs(rt))) <= cfg.residual_tol:
-            break
-        ab = _jacobian_bands(v, prob, cfg)
-        J = np.zeros((n, n))
-        J[np.arange(n), np.arange(n)] = ab[1]
-        J[np.arange(n - 1), np.arange(1, n)] = ab[0, 1:]
-        J[np.arange(1, n), np.arange(n - 1)] = ab[2, :-1]
-        Jt = M * J + np.outer(r, gradM)
-        try:
-            delta = np.linalg.solve(Jt, -rt)
-        except np.linalg.LinAlgError:
-            ok = False
-            break
-        merit = float(rt @ rt)
-        alpha, stepped = 1.0, False
-        for _ in range(cfg.max_backtracks):
-            v_try = v + alpha * delta
-            r_try = residual_many(v_try, prob)
-            M_try, _ = _deflation_terms(v_try, anchors, power)
-            rt_try = M_try * r_try
-            m_try = float(rt_try @ rt_try)
-            if np.isfinite(m_try) and m_try < merit:
-                v = v_try
-                stepped = True
-                break
-            alpha *= cfg.ls_shrink
-        if not stepped or not np.all(np.isfinite(v)) or float(np.max(np.abs(v))) > 1e14:
-            ok = False
-            break
-    if not ok or not np.all(np.isfinite(v)):
-        u = LatticeSeq(prob.window, np.where(np.isfinite(v), v, 0.0))
-        return replace(newton_solve(u, prob, cfg), converged=False,
-                       note="deflated iteration diverged")
-
+    v, it, history, note = _newton_values(u0.values, prob, cfg, anchors)
+    if note:
+        return replace(_finish(v, prob, cfg, it, history, note), converged=False)
     res = newton_solve(LatticeSeq(prob.window, v), prob, cfg)
     extras = dict(res.extras)
     extras["deflation"] = {"polish_move": float(np.max(np.abs(res.u.values - v)))}
     res = replace(res, extras=extras)
-    if res.converged:
-        dist = min(float(np.max(np.abs(res.u.values - w))) for w in anchors)
-        if dist <= cfg.dedup_tol:
-            return replace(res, converged=False,
-                           note="polished root collapsed onto a known solution")
+    if res.converged and np.min(np.max(np.abs(res.u.values - anchors), axis=1)) <= cfg.dedup_tol:
+        return replace(res, converged=False,
+                       note="polished root collapsed onto a known solution")
     return res
 
 
-def _anchor_values(known) -> list:
-    """Known roots plus their negations, deduplicated."""
+def _anchor_values(known) -> np.ndarray:
+    """Known roots plus their negations, one row each."""
     if isinstance(known, SolutionSet):
-        items = [r.u.values for r in known]
+        rows = [r.u.values for r in known]
     else:
-        items = [np.asarray(getattr(w, "values", w), dtype=float) for w in known]
-    anchors = []
-    for w in items:
-        for cand in (w, -w):
-            if not any(np.array_equal(cand, a) for a in anchors):
-                anchors.append(np.array(cand, dtype=float))
-    return anchors
+        rows = [getattr(w, "values", w) for w in known]
+    if not rows:
+        raise ValueError("deflated_solve needs at least one known solution")
+    W = np.array(rows, dtype=float)
+    return np.unique(np.concatenate([W, -W]), axis=0)
 
 
 @dataclass(frozen=True)
@@ -576,6 +562,7 @@ def find_critical_points(prob: ProblemSpec, cfg: SolverConfig, *,
         sols.add(_finish(zero.values, prob, cfg, 0, []))
 
     starts = _candidate_starts(prob, max_site=max_site)
+    n_bump = len(starts)
     if random_starts > 0:
         starts.extend(rng.uniform(-amplitude, amplitude, size=(random_starts, n)))
 
@@ -586,7 +573,7 @@ def find_critical_points(prob: ProblemSpec, cfg: SolverConfig, *,
 
     # Deflation rounds on a bounded start pool: enough to dig out roots the
     # plain multistart missed without re-running the full pool every round.
-    pool = starts[: len(_candidate_starts(prob, max_site=max_site))]
+    pool = starts[:n_bump]
     extra = min(deflation_starts, max(0, len(starts) - len(pool)))
     if extra > 0:
         pick = rng.choice(len(starts) - len(pool), size=extra, replace=False)

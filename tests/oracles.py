@@ -56,6 +56,32 @@ def dense_jacobian_fd(values, prob, h=1e-7):
     return J
 
 
+def literal_deflation(v, anchors, power):
+    """M = prod_i (1 + ||v - w_i||^-power) and grad M, one anchor at a time."""
+    v = np.asarray(v, dtype=float)
+    M = 1.0
+    grad_log = np.zeros(v.size)
+    for w in anchors:
+        dv = v - np.asarray(w, dtype=float)
+        s = math.sqrt(float(dv @ dv))
+        m = 1.0 + s ** (-power)
+        M *= m
+        grad_log += (-power * s ** (-power - 2.0) / m) * dv
+    return M, M * grad_log
+
+
+def dense_deflated_step(values, prob, anchors, power):
+    """Newton step of the deflated residual M r by a dense solve.
+
+    Solves (M J + r grad M^T) delta = -M r with J from finite differences.
+    """
+    values = np.asarray(values, dtype=float)
+    r = residual_many(values, prob)
+    M, grad_M = literal_deflation(values, anchors, power)
+    J = dense_jacobian_fd(values, prob)
+    return np.linalg.solve(M * J + np.outer(r, grad_M), -M * r)
+
+
 def _batched_newton(V, prob, tol=1e-12, max_iter=60, h=1e-7):
     """Plain (undamped) Newton on every row of V at once; FD Jacobians.
 

@@ -77,9 +77,12 @@ def test_cli_usage_error_exit_code(tmp_path):
     assert run_cli("check", str(tmp_path / "missing.cfg"), tmp_path) == cli.EXIT_USAGE
 
 
-def test_cli_type_invariant_violation_exit_code(tmp_path):
-    cfg = write_config(tmp_path, PURE_POWER_LINES + [
-        "solver.line_search.shrink = 2.0"])
+@pytest.mark.parametrize("line", ["solver.line_search.shrink = 2.0",
+                                  "solver.tail_fraction = 1.5",
+                                  "solver.line_search.decrease = 0.9",
+                                  "solver.max_iter = 0"])
+def test_cli_type_invariant_violation_exit_code(tmp_path, line):
+    cfg = write_config(tmp_path, PURE_POWER_LINES + [line])
     assert run_cli("solve", cfg, tmp_path / "out") == cli.EXIT_USAGE
 
 

@@ -86,6 +86,21 @@ def test_log_power_closed_form_against_trapezoid():
     assert nl.F(0, 1.3) == pytest.approx(want, abs=1e-8)
 
 
+def test_log_power_primitive_is_inf_past_overflow():
+    # ((1 + s^p) log1p(s^p) - s^p) / p is inf - inf = nan once s^p overflows
+    nl = LogPower(3.0, 1.5, 3.0)
+    with np.errstate(over="ignore"):
+        assert nl.F(0, 1e103) == np.inf
+        assert nl.F(0, -1e103) == np.inf
+        assert np.array_equal(nl.F(np.array([0, 2]), np.array([1e103, 1e103])),
+                              [np.inf, np.inf])
+    t = np.array([0.0, 1e-3, 0.5, 2.0, 40.0, 1e50, 1e101])
+    sp = t ** 3.0
+    want = ((1.0 + sp) * np.log1p(sp) - sp) / 3.0 * nl.weight(0)
+    assert np.array_equal(nl.F(0, t), want)
+    assert np.all(np.isfinite(want))
+
+
 def test_primitive_derivative_matches_drive(rng):
     # central differences of F against f, relative error < 1e-6
     for nl in (LogPower(2.0, 2.0, 2.0), LogPower(3.0, 1.5, 3.0), PurePower(2.0, 4.0)):

@@ -1,16 +1,24 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+import dplhom.solver as solver
 from dplhom import (LatticeSeq, LogPower,
                     MountainPassError, SolutionSet, SolveResult,
                     SolverConfig, Window, bump_amplitude, deflated_solve,
                     energy, energy_parts, find_critical_points, mountain_pass,
                     newton_solve, residual, solution_sequence, sup_norm,
                     weighted_norm, window_continuation)
-from dplhom.solver import _strict_ladder
+from dplhom.solver import (_anchor_values, _deflation_terms, _newton_values,
+                           _strict_ladder)
 from conftest import (make_constant_problem, make_pure_power_problem,
                       make_reference_problem)
-from oracles import multistart_flow_newton, sets_match
+from oracles import (dense_deflated_step, literal_deflation, multistart_flow_newton,
+                     sets_match)
 
 
 @pytest.fixture(scope="module")
@@ -23,13 +31,17 @@ def cfg():
     return SolverConfig(seed=3)
 
 
-def test_config_validation():
+@pytest.mark.parametrize("field, value", [
+    ("residual_tol", 0.0), ("path_points", 2), ("ls_shrink", 1.5),
+    # tail_fraction >= 1 empties the tail mask, so the decay check would
+    # pass everything
+    ("tail_fraction", 1.0), ("tail_fraction", 1.5), ("tail_fraction", 0.0),
+    ("ls_decrease", 0.0), ("ls_decrease", 0.5), ("ls_decrease", 0.9),
+    ("max_backtracks", 0), ("max_iter", 0), ("dedup_tol", 0.0), ("dedup_tol", -1e-6),
+])
+def test_config_validation(field, value):
     with pytest.raises(ValueError):
-        SolverConfig(residual_tol=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(path_points=2)
-    with pytest.raises(ValueError):
-        SolverConfig(ls_shrink=1.5)
+        SolverConfig(**{field: value})
 
 
 # ---- newton ----------------------------------------------------------------
@@ -166,6 +178,85 @@ def test_deflated_solve_respects_distinctness(cfg):
             dist_known = min(np.max(np.abs(second.u.values - s))
                              for w in (zero, first.u) for s in (w.values, -w.values))
             assert dist_known > cfg.dedup_tol
+
+
+def test_deflated_direction_matches_dense_solve():
+    # one core iteration from starts where the full step is taken: the
+    # scaled tridiagonal step equals the dense deflated Newton step
+    prob = make_pure_power_problem(K=2)
+    zero = LatticeSeq.zeros(prob.window)
+    first = deflated_solve([zero], LatticeSeq.spike(prob.window, 0, 1.0), prob,
+                           SolverConfig(seed=3))
+    anchors = _anchor_values([zero, first.u])
+    for v0 in (np.array([0.3, 1.2, 0.2, -0.1, 0.05]),
+               LatticeSeq.spike(prob.window, 1, 1.6).values,
+               np.array([0.1, 1.7, 0.1, 0.0, 0.0])):
+        v1, it, _, note = _newton_values(v0, prob, SolverConfig(max_iter=1), anchors)
+        assert (it, note) == (1, "max_iter exceeded")
+        dense = dense_deflated_step(v0, prob, anchors, prob.p)
+        assert np.linalg.norm((v1 - v0) - dense) <= 1e-6 * np.linalg.norm(dense)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 5), st.floats(1.1, 4.0), st.data())
+def test_deflation_terms_match_literal_loop(n, m, power, data):
+    coords = st.floats(-3.0, 3.0)
+    v = data.draw(hnp.arrays(np.float64, n, elements=coords))
+    anchors = data.draw(hnp.arrays(np.float64, (m, n), elements=coords))
+    assume(np.min(np.linalg.norm(anchors - v, axis=1)) > 1e-2)
+    M, grad_log = _deflation_terms(v, anchors, power)
+    M_ref, grad_ref = literal_deflation(v, anchors, power)
+    assert M == pytest.approx(M_ref, rel=1e-12)
+    np.testing.assert_allclose(M * grad_log, grad_ref, rtol=1e-9,
+                               atol=1e-12 * np.max(np.abs(grad_ref)))
+
+
+def _count_newton_calls(monkeypatch):
+    calls = []
+    plain = solver.newton_solve
+
+    def counted(*args):
+        calls.append(args)
+        return plain(*args)
+
+    monkeypatch.setattr(solver, "newton_solve", counted)
+    return calls
+
+
+def test_diverging_deflated_solve_is_not_polished(monkeypatch, cfg):
+    prob = make_pure_power_problem(K=2)
+    known = find_critical_points(prob, cfg)
+    calls = _count_newton_calls(monkeypatch)
+    res = deflated_solve(known, LatticeSeq.spike(prob.window, 0, 1.0), prob, cfg)
+    assert not res.converged
+    assert res.note == "deflated iteration diverged"
+    assert res.iterations > 0
+    assert calls == []
+
+
+def test_deflated_start_on_an_anchor_ends_at_once(monkeypatch, cfg):
+    prob = make_pure_power_problem(K=2)
+    root = newton_solve(LatticeSeq.spike(prob.window, 0, 1.5), prob, cfg)
+    calls = _count_newton_calls(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = deflated_solve([root.u], -root.u, prob, cfg)
+    assert (res.converged, res.iterations, res.note) == (False, 0, "deflated iteration diverged")
+    assert np.array_equal(res.u.values, -root.u.values)
+    assert calls == []
+
+
+def test_anchor_rows_are_unique():
+    w = np.array([0.25, 1.5, -0.5])
+    zero = np.zeros(3)
+    anchors = _anchor_values([w, w.copy(), -w, zero, -zero])
+    assert anchors.shape == (3, 3)
+    assert {tuple(row) for row in anchors} == {tuple(w), tuple(-w), (0.0, 0.0, 0.0)}
+    window = Window(1)
+    sols = SolutionSet(tol=1e-6)
+    sols.add(_stored(window, 0, 1.0))
+    sols.add(_stored(window, 1, 2.0))
+    assert _anchor_values(sols).shape == (4, 3)
 
 
 def test_deflation_polish_moves_little(cfg):
