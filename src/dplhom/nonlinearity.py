@@ -53,6 +53,11 @@ _QUAD_ABS_TOL = 1e-10
 _QUAD_LIMIT = 200
 
 
+def _scalar_or_array(out, k, t):
+    """``out`` as a float when both k and t are scalars, else as it is."""
+    return float(out) if np.ndim(t) == 0 and np.ndim(k) == 0 else out
+
+
 class EvaluationError(RuntimeError):
     """Raised when a primitive cannot be evaluated to tolerance."""
 
@@ -70,14 +75,12 @@ class Nonlinearity:
 
     def curly_F(self, k, t):
         t_arr = np.asarray(t, dtype=float)
-        out = self.f(k, t_arr) * t_arr - self.p * self.F(k, t_arr)
-        return float(out) if np.ndim(t) == 0 and np.ndim(k) == 0 else out
+        return _scalar_or_array(self.f(k, t_arr) * t_arr - self.p * self.F(k, t_arr), k, t)
 
     def df_dt(self, k, t):
         t_arr = np.asarray(t, dtype=float)
         h = 1e-6 * np.maximum(1.0, np.abs(t_arr))
-        out = (self.f(k, t_arr + h) - self.f(k, t_arr - h)) / (2.0 * h)
-        return float(out) if np.ndim(t) == 0 and np.ndim(k) == 0 else out
+        return _scalar_or_array((self.f(k, t_arr + h) - self.f(k, t_arr - h)) / (2.0 * h), k, t)
 
     def growth_exponent(self) -> Optional[float]:
         """Natural q > p for the |F| <= d(|t|^p + |t|^q) bound, if known."""
@@ -134,7 +137,7 @@ class LogPower(Nonlinearity):
     def f(self, k, t):
         t_arr = np.asarray(t, dtype=float)
         out = self.weight(k) * phi_p(self.p, t_arr) * np.log1p(np.abs(t_arr) ** self.nu)
-        return float(out) if np.ndim(t) == 0 and np.ndim(k) == 0 else out
+        return _scalar_or_array(out, k, t)
 
     def _primitive(self, s: np.ndarray) -> np.ndarray:
         """G on |t|; even extension handled by the caller."""
@@ -150,8 +153,7 @@ class LogPower(Nonlinearity):
 
     def F(self, k, t):
         t_arr = np.asarray(t, dtype=float)
-        out = self.weight(k) * self._primitive(np.abs(t_arr))
-        return float(out) if np.ndim(t) == 0 and np.ndim(k) == 0 else out
+        return _scalar_or_array(self.weight(k) * self._primitive(np.abs(t_arr)), k, t)
 
     def df_dt(self, k, t):
         t_arr = np.asarray(t, dtype=float)
@@ -161,8 +163,7 @@ class LogPower(Nonlinearity):
             lead = (self.p - 1.0) * s ** (self.p - 2.0) * log_term
         lead = np.where(log_term == 0.0, 0.0, lead)  # t=0 limit is 0 for p>1
         ratio = self.nu * s ** (self.p + self.nu - 2.0) / (1.0 + s ** self.nu)
-        out = self.weight(k) * (lead + ratio)
-        return float(out) if np.ndim(t) == 0 and np.ndim(k) == 0 else out
+        return _scalar_or_array(self.weight(k) * (lead + ratio), k, t)
 
     def growth_exponent(self) -> float:
         # ln(1 + |t|^nu) <= |t|^nu, so |F| <= w(k) |t|^(p+nu) / (p+nu)
@@ -192,17 +193,17 @@ class PurePower(Nonlinearity):
     def f(self, k, t):
         t_arr = np.asarray(t, dtype=float)
         out = self.c * phi_p(self.q, t_arr) * np.ones_like(np.asarray(k, dtype=float))
-        return float(out) if np.ndim(t) == 0 and np.ndim(k) == 0 else out
+        return _scalar_or_array(out, k, t)
 
     def F(self, k, t):
         t_arr = np.asarray(t, dtype=float)
         out = (self.c / self.q) * np.abs(t_arr) ** self.q * np.ones_like(np.asarray(k, dtype=float))
-        return float(out) if np.ndim(t) == 0 and np.ndim(k) == 0 else out
+        return _scalar_or_array(out, k, t)
 
     def df_dt(self, k, t):
         t_arr = np.asarray(t, dtype=float)
         out = self.c * phi_p_prime(self.q, t_arr, cap=None) * np.ones_like(np.asarray(k, dtype=float))
-        return float(out) if np.ndim(t) == 0 and np.ndim(k) == 0 else out
+        return _scalar_or_array(out, k, t)
 
     def growth_exponent(self) -> float:
         return self.q
@@ -239,8 +240,7 @@ class CustomNonlinearity(Nonlinearity):
 
     def f(self, k, t):
         fv = np.vectorize(self.f_scalar, otypes=[float])
-        out = fv(k, t)
-        return float(out) if np.ndim(t) == 0 and np.ndim(k) == 0 else out
+        return _scalar_or_array(fv(k, t), k, t)
 
     def _F_one(self, k: int, t: float) -> float:
         if self.F_scalar is not None:
@@ -261,15 +261,13 @@ class CustomNonlinearity(Nonlinearity):
 
     def F(self, k, t):
         Fv = np.vectorize(self._F_one, otypes=[float])
-        out = Fv(k, t)
-        return float(out) if np.ndim(t) == 0 and np.ndim(k) == 0 else out
+        return _scalar_or_array(Fv(k, t), k, t)
 
     def df_dt(self, k, t):
         if self.df_scalar is None:
             return super().df_dt(k, t)
         dv = np.vectorize(self.df_scalar, otypes=[float])
-        out = dv(k, t)
-        return float(out) if np.ndim(t) == 0 and np.ndim(k) == 0 else out
+        return _scalar_or_array(dv(k, t), k, t)
 
     @property
     def is_odd(self) -> bool:

@@ -11,10 +11,16 @@ The workhorses:
 
 newton_solve and deflated_solve share one damped Newton loop.  Deflation
 multiplies the residual by M(v) = prod_i (1 + ||v - w_i||^-p) over the known
-roots w_i and their negations.  The Jacobian M J + r grad(M)^T of M r is
-tridiagonal plus rank one, so by Sherman-Morrison its Newton step is the
-plain tridiagonal step delta times the scalar 1 / (1 - grad(log M).delta)
-(Farrell, Birkisson & Funke, SIAM J. Sci. Comput. 37, 2015).
+roots w_i, and their negations for an odd drive.  The Jacobian
+M J + r grad(M)^T of M r is tridiagonal plus rank one, so by Sherman-Morrison
+its Newton step is the plain tridiagonal step delta times the scalar
+1 / (1 - grad(log M).delta) (Farrell, Birkisson & Funke, SIAM J. Sci.
+Comput. 37, 2015).
+
+find_critical_points and solution_sequence run one enumeration engine,
+multistart Newton then deflation rounds, and differ only in the data they
+pass it.  Solutions are taken up to sign only for an odd drive
+(``Nonlinearity.is_odd``).
 
 Convergence is always declared on the infinity norm of the residual, never
 on step size (steps can stagnate near clamped Jacobian entries for p < 2).
@@ -24,6 +30,7 @@ than trusting the loop's last internal values.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional
@@ -90,6 +97,12 @@ class SolverConfig:
             raise ValueError("dedup tolerance must be positive")
         if self.path_points < 3:
             raise ValueError("a path needs at least 3 points")
+        if not (self.jacobian_cap > 0 and self.handoff_residual > 0 and self.stagnation_tol >= 0
+                and (self.deflation_exponent is None or self.deflation_exponent > 0)):
+            raise ValueError("jacobian_cap, handoff_residual and deflation_exponent must be "
+                             "positive, stagnation_tol nonnegative")
+        if self.max_path_sweeps < 1 or self.continuation_growth < 1:
+            raise ValueError("max_path_sweeps and continuation_growth must be at least 1")
 
 
 class IterationRecord(NamedTuple):
@@ -363,7 +376,9 @@ def _deflation_terms(v: np.ndarray, anchors: np.ndarray, power: float):
 
 def deflated_solve(known, u0: LatticeSeq, prob: ProblemSpec,
                    cfg: SolverConfig) -> SolveResult:
-    """Newton on the residual deflated at all known roots and their negations.
+    """Newton on the residual deflated at the known roots.
+
+    For an odd drive the negations of the known roots are anchors too.
 
     Runs the Newton loop of ``newton_solve`` on M r, whose step is the plain
     tridiagonal step times 1 / (1 - grad(log M).delta).  Any root of M r
@@ -372,7 +387,7 @@ def deflated_solve(known, u0: LatticeSeq, prob: ProblemSpec,
     iterations is returned as it stands with ``converged=False``, and so is
     a polished root that collapses back onto a known anchor.
     """
-    anchors = _anchor_values(known)
+    anchors = _anchor_values(known, prob.nonlinearity.is_odd)
     v, it, history, note = _newton_values(u0.values, prob, cfg, anchors)
     if note:
         return replace(_finish(v, prob, cfg, it, history, note), converged=False)
@@ -386,8 +401,8 @@ def deflated_solve(known, u0: LatticeSeq, prob: ProblemSpec,
     return res
 
 
-def _anchor_values(known) -> np.ndarray:
-    """Known roots plus their negations, one row each."""
+def _anchor_values(known, odd: bool) -> np.ndarray:
+    """Known roots, plus their negations if ``odd``, one distinct row each."""
     if isinstance(known, SolutionSet):
         rows = [r.u.values for r in known]
     else:
@@ -395,7 +410,7 @@ def _anchor_values(known) -> np.ndarray:
     if not rows:
         raise ValueError("deflated_solve needs at least one known solution")
     W = np.array(rows, dtype=float)
-    return np.unique(np.concatenate([W, -W]), axis=0)
+    return np.unique(np.concatenate([W, -W]) if odd else W, axis=0)
 
 
 @dataclass(frozen=True)
@@ -425,11 +440,11 @@ def window_continuation(result: SolveResult, prob: ProblemSpec, half_width_new: 
     )
 
 
-def _canonical_values(values: np.ndarray, tol_rel: float = 1e-12) -> np.ndarray:
-    """Flip the sign so the first significant entry is positive."""
+def _canonical_values(values: np.ndarray, odd: bool, tol_rel: float = 1e-12) -> np.ndarray:
+    """A copy; for an odd drive, signed so the first significant entry is positive."""
     v = np.array(values, dtype=float)
     scale = float(np.max(np.abs(v)))
-    if scale == 0.0:
+    if not odd or scale == 0.0:
         return v
     idx = np.argmax(np.abs(v) > tol_rel * scale)
     if v[idx] < 0.0:
@@ -439,29 +454,29 @@ def _canonical_values(values: np.ndarray, tol_rel: float = 1e-12) -> np.ndarray:
 
 @dataclass
 class SolutionSet:
-    """Solutions deduplicated up to sign, sorted by energy.
+    """Solutions at least ``tol`` apart in the sup norm, sorted by energy.
 
-    Members are stored with a canonical sign (first significant entry
-    positive), which makes merging order-independent; sign-dedup assumes an
-    odd nonlinearity, where u and -u are the same physical solution.
+    With ``odd`` set (the solvers copy the drive's ``is_odd``), u and -u are
+    the same physical solution: members are compared up to sign and stored
+    with a canonical sign (first significant entry positive), which makes
+    merging order-independent.  Without it every member keeps its own sign.
     """
 
     tol: float = 1e-6
     warning: Optional[str] = None
+    odd: bool = False
     _items: list = field(default_factory=list)
 
     def add(self, result: SolveResult) -> bool:
-        v = _canonical_values(result.u.values)
-        for other in self._items:
-            if other.u.values.shape == v.shape and np.max(np.abs(other.u.values - v)) <= self.tol:
-                return False
-        canon = replace(result, u=LatticeSeq(result.u.window, v))
-        self._items.append(canon)
+        if self.contains_close(result.u.values):
+            return False
+        v = _canonical_values(result.u.values, self.odd)
+        self._items.append(replace(result, u=LatticeSeq(result.u.window, v)))
         self._items.sort(key=lambda r: (r.energy, tuple(r.u.values)))
         return True
 
     def contains_close(self, values: np.ndarray) -> bool:
-        v = _canonical_values(values)
+        v = _canonical_values(values, self.odd)
         return any(o.u.values.shape == v.shape and np.max(np.abs(o.u.values - v)) <= self.tol
                    for o in self._items)
 
@@ -493,7 +508,7 @@ def bump_amplitude(prob: ProblemSpec, site: int) -> Optional[float]:
         return prob.lam * float(prob.nonlinearity.f(site, c)) - stiff * phi_p(prob.p, c)
 
     grid = np.logspace(-3.0, 16.0, 640)
-    vals = np.array([gap(c) for c in grid])
+    vals = prob.lam * prob.nonlinearity.f(site, grid) - stiff * phi_p(prob.p, grid)
     sign_change = np.nonzero((vals[:-1] <= 0.0) & (vals[1:] > 0.0))[0]
     if sign_change.size == 0:
         return None
@@ -542,6 +557,43 @@ def _candidate_starts(prob: ProblemSpec, max_site: int = 3) -> list:
     return starts
 
 
+def _enumerate(prob: ProblemSpec, cfg: SolverConfig, initial, starts, pool, accept,
+               done, max_rounds: int, jitter: float, rng) -> SolutionSet:
+    """Multistart Newton over ``starts``, then deflation rounds over ``pool``.
+
+    Zero is an anchor.  Zero, each ``initial`` result and each multistart
+    root is stored, and anchored, if ``accept`` returns a result for it.  A
+    round deflates from each pool start times 1 + jitter N(0, 1), anchors
+    every new converged root and stores the accepted ones.  Rounds stop once
+    ``done(stored)`` holds, after a round that stores nothing, or at
+    ``max_rounds``.
+    """
+    odd = prob.nonlinearity.is_odd
+    stored = SolutionSet(tol=cfg.dedup_tol, odd=odd)
+    anchors = SolutionSet(tol=cfg.dedup_tol, odd=odd)
+    zero = _finish(np.zeros(prob.window.size), prob, cfg, 0, [])
+    anchors.add(zero)
+    solved = (newton_solve(LatticeSeq(prob.window, v), prob, cfg) for v in starts)
+    for res in itertools.chain([zero], initial, solved):
+        acc = accept(res)
+        if acc is not None and stored.add(acc):
+            anchors.add(acc)
+    for _ in range(max_rounds):
+        if done(stored):
+            break
+        added = False
+        for v in pool:
+            u0 = LatticeSeq(prob.window, v * (1.0 + jitter * rng.standard_normal(v.shape)))
+            res = deflated_solve(anchors, u0, prob, cfg)
+            if res.converged and anchors.add(res):
+                acc = accept(res)
+                if acc is not None and stored.add(acc):
+                    added = True
+        if not added:
+            break
+    return stored
+
+
 def find_critical_points(prob: ProblemSpec, cfg: SolverConfig, *,
                          random_starts: int = 0, amplitude: float = 2.0,
                          max_site: int = 3, max_rounds: int = 4,
@@ -553,43 +605,19 @@ def find_critical_points(prob: ProblemSpec, cfg: SolverConfig, *,
     it is the raw critical-point inventory of the truncated problem.
     """
     rng = np.random.default_rng(cfg.seed)
-    sols = SolutionSet(tol=cfg.dedup_tol)
-    n = prob.window.size
-
-    zero = LatticeSeq.zeros(prob.window)
-    r0 = residual_many(zero.values, prob)
-    if float(np.max(np.abs(r0))) <= cfg.residual_tol:
-        sols.add(_finish(zero.values, prob, cfg, 0, []))
-
     starts = _candidate_starts(prob, max_site=max_site)
     n_bump = len(starts)
     if random_starts > 0:
-        starts.extend(rng.uniform(-amplitude, amplitude, size=(random_starts, n)))
-
-    for v in starts:
-        res = newton_solve(LatticeSeq(prob.window, v), prob, cfg)
-        if res.converged:
-            sols.add(res)
+        starts.extend(rng.uniform(-amplitude, amplitude, size=(random_starts, prob.window.size)))
 
     # Deflation rounds on a bounded start pool: enough to dig out roots the
     # plain multistart missed without re-running the full pool every round.
-    pool = starts[:n_bump]
-    extra = min(deflation_starts, max(0, len(starts) - len(pool)))
-    if extra > 0:
-        pick = rng.choice(len(starts) - len(pool), size=extra, replace=False)
-        pool = pool + [starts[len(pool) + i] for i in pick]
-    for _ in range(max_rounds):
-        if len(sols) == 0:
-            break
-        added = False
-        for v in pool:
-            res = deflated_solve(sols, LatticeSeq(prob.window, v), prob, cfg)
-            if res.converged and not sols.contains_close(res.u.values):
-                sols.add(res)
-                added = True
-        if not added:
-            break
-    return sols
+    n_random = len(starts) - n_bump
+    pick = rng.choice(n_random, size=max(0, min(deflation_starts, n_random)), replace=False)
+    pool = starts[:n_bump] + [starts[n_bump + i] for i in pick]
+    return _enumerate(prob, cfg, [], starts, pool,
+                      accept=lambda res: res if res.converged else None,
+                      done=lambda stored: False, max_rounds=max_rounds, jitter=0.0, rng=rng)
 
 
 def _sequence_accept(res: SolveResult, prob: ProblemSpec, cfg: SolverConfig):
@@ -637,48 +665,17 @@ def solution_sequence(prob: ProblemSpec, cfg: SolverConfig, n_target: int) -> So
     """
     if n_target < 0:
         raise ValueError("n_target must be nonnegative")
-    pool = SolutionSet(tol=cfg.dedup_tol)
+    out = SolutionSet(tol=cfg.dedup_tol, odd=prob.nonlinearity.is_odd)
     if n_target == 0:
-        return pool
+        return out
     rng = np.random.default_rng(cfg.seed)
-
     mp = _first_pass_state(prob, cfg)
-    if mp is not None:
-        acc = _sequence_accept(mp, prob, cfg)
-        if acc is not None:
-            pool.add(acc)
-
-    starts = _candidate_starts(prob, max_site=min(4, prob.window.half_width))
-    for v in starts:
-        res = newton_solve(LatticeSeq(prob.window, v), prob, cfg)
-        acc = _sequence_accept(res, prob, cfg)
-        if acc is not None:
-            pool.add(acc)
-
-    anchors = SolutionSet(tol=cfg.dedup_tol)
-    anchors.add(_finish(np.zeros(prob.window.size), prob, cfg, 0, []))
-    for r in pool:
-        anchors.add(r)
-
-    round_idx = 0
-    while len(_strict_ladder(pool)) < n_target and round_idx < 6:
-        round_idx += 1
-        added = False
-        for v in starts:
-            jitter = 1.0 + 0.05 * rng.standard_normal(v.shape)
-            res = deflated_solve(anchors, LatticeSeq(prob.window, v * jitter), prob, cfg)
-            if not res.converged or anchors.contains_close(res.u.values):
-                continue
-            anchors.add(res)
-            acc = _sequence_accept(res, prob, cfg)
-            if acc is not None and pool.add(acc):
-                added = True
-        if not added:
-            break
-
-    ladder = _strict_ladder(pool)
-    out = SolutionSet(tol=cfg.dedup_tol)
-    for r in ladder[:n_target] if n_target else []:
+    starts = _candidate_starts(prob, max_site=4)
+    pool = _enumerate(prob, cfg, [] if mp is None else [mp], starts, starts,
+                      accept=lambda res: _sequence_accept(res, prob, cfg),
+                      done=lambda stored: len(_strict_ladder(stored)) >= n_target,
+                      max_rounds=6, jitter=0.05, rng=rng)
+    for r in _strict_ladder(pool)[:n_target]:
         out.add(r)
     if len(out) < n_target:
         out.warning = (f"found {len(out)} of {n_target} requested solutions "

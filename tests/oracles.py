@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from dplhom.fountain import FountainGeometryError
-from dplhom.lattice import energy_many, residual_many
+from dplhom.lattice import energy_many, phi_p, residual_many
 
 
 def direct_weighted_norm(values, a, b, p):
@@ -223,3 +223,30 @@ def per_point_threshold(prob, c_sup, h_n, t_lo=1e-3, t_hi=1e140, t_samples=64):
         else:
             lo = mid
     return hi
+
+
+def per_point_bump_amplitude(prob, site):
+    """One-site balance amplitude by the plain scan: the gap at each grid c in turn.
+
+    Same scalar gap and the same 80 bisection steps as the library, with no
+    array evaluation of the grid.
+    """
+    i = prob.window.position(site)
+    stiff = float(prob.coeffs.a[i] + prob.coeffs.a[i + 1] + prob.coeffs.b[i])
+
+    def gap(c):
+        return prob.lam * float(prob.nonlinearity.f(site, c)) - stiff * phi_p(prob.p, c)
+
+    grid = np.logspace(-3.0, 16.0, 640)
+    vals = np.array([gap(c) for c in grid])
+    sign_change = np.nonzero((vals[:-1] <= 0.0) & (vals[1:] > 0.0))[0]
+    if sign_change.size == 0:
+        return None
+    lo, hi = grid[sign_change[0]], grid[sign_change[0] + 1]
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if gap(mid) > 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)

@@ -80,7 +80,11 @@ def test_cli_usage_error_exit_code(tmp_path):
 @pytest.mark.parametrize("line", ["solver.line_search.shrink = 2.0",
                                   "solver.tail_fraction = 1.5",
                                   "solver.line_search.decrease = 0.9",
-                                  "solver.max_iter = 0"])
+                                  "solver.max_iter = 0",
+                                  "solver.deflation_exponent = -2",
+                                  "solver.deflation_exponent = 0",
+                                  "solver.jacobian_cap = 0",
+                                  "solver.continuation_growth = 0"])
 def test_cli_type_invariant_violation_exit_code(tmp_path, line):
     cfg = write_config(tmp_path, PURE_POWER_LINES + [line])
     assert run_cli("solve", cfg, tmp_path / "out") == cli.EXIT_USAGE

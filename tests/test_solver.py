@@ -7,18 +7,18 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import dplhom.solver as solver
-from dplhom import (LatticeSeq, LogPower,
-                    MountainPassError, SolutionSet, SolveResult,
+from dplhom import (CoefficientField, CustomNonlinearity, LatticeSeq, LogPower,
+                    MountainPassError, ProblemSpec, SolutionSet, SolveResult,
                     SolverConfig, Window, bump_amplitude, deflated_solve,
                     energy, energy_parts, find_critical_points, mountain_pass,
-                    newton_solve, residual, solution_sequence, sup_norm,
-                    weighted_norm, window_continuation)
+                    newton_solve, residual, residual_many, solution_sequence,
+                    sup_norm, weighted_norm, window_continuation)
 from dplhom.solver import (_anchor_values, _deflation_terms, _newton_values,
                            _strict_ladder)
 from conftest import (make_constant_problem, make_pure_power_problem,
-                      make_reference_problem)
+                      make_reference_problem, random_problem)
 from oracles import (dense_deflated_step, literal_deflation, multistart_flow_newton,
-                     sets_match)
+                     per_point_bump_amplitude, sets_match)
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +38,11 @@ def cfg():
     ("tail_fraction", 1.0), ("tail_fraction", 1.5), ("tail_fraction", 0.0),
     ("ls_decrease", 0.0), ("ls_decrease", 0.5), ("ls_decrease", 0.9),
     ("max_backtracks", 0), ("max_iter", 0), ("dedup_tol", 0.0), ("dedup_tol", -1e-6),
+    ("jacobian_cap", 0.0), ("jacobian_cap", -1e8),
+    ("deflation_exponent", 0.0), ("deflation_exponent", -2.0),
+    ("max_path_sweeps", 0), ("handoff_residual", 0.0), ("stagnation_tol", -1e-9),
+    ("stagnation_tol", float("nan")),
+    ("continuation_growth", 0),
 ])
 def test_config_validation(field, value):
     with pytest.raises(ValueError):
@@ -187,7 +192,7 @@ def test_deflated_direction_matches_dense_solve():
     zero = LatticeSeq.zeros(prob.window)
     first = deflated_solve([zero], LatticeSeq.spike(prob.window, 0, 1.0), prob,
                            SolverConfig(seed=3))
-    anchors = _anchor_values([zero, first.u])
+    anchors = _anchor_values([zero, first.u], prob.nonlinearity.is_odd)
     for v0 in (np.array([0.3, 1.2, 0.2, -0.1, 0.05]),
                LatticeSeq.spike(prob.window, 1, 1.6).values,
                np.array([0.1, 1.7, 0.1, 0.0, 0.0])):
@@ -249,14 +254,17 @@ def test_deflated_start_on_an_anchor_ends_at_once(monkeypatch, cfg):
 def test_anchor_rows_are_unique():
     w = np.array([0.25, 1.5, -0.5])
     zero = np.zeros(3)
-    anchors = _anchor_values([w, w.copy(), -w, zero, -zero])
+    anchors = _anchor_values([w, w.copy(), -w, zero, -zero], True)
     assert anchors.shape == (3, 3)
     assert {tuple(row) for row in anchors} == {tuple(w), tuple(-w), (0.0, 0.0, 0.0)}
     window = Window(1)
     sols = SolutionSet(tol=1e-6)
     sols.add(_stored(window, 0, 1.0))
     sols.add(_stored(window, 1, 2.0))
-    assert _anchor_values(sols).shape == (4, 3)
+    assert _anchor_values(sols, True).shape == (4, 3)
+    # without an odd drive a root's negation is no anchor
+    assert _anchor_values(sols, False).shape == (2, 3)
+    assert _anchor_values([w, w.copy(), zero], False).shape == (2, 3)
 
 
 def test_deflation_polish_moves_little(cfg):
@@ -315,11 +323,16 @@ def _fake_result(prob, values, cfg):
 def test_solution_set_sign_dedup(cfg):
     prob = make_pure_power_problem(K=2)
     res = newton_solve(LatticeSeq.spike(prob.window, 0, 1.5), prob, cfg)
-    sols = SolutionSet(tol=1e-6)
-    assert sols.add(res)
     negated = newton_solve(-res.u, prob, cfg)
+    sols = SolutionSet(tol=1e-6, odd=prob.nonlinearity.is_odd)
+    assert sols.add(res)
+    assert sols.contains_close(negated.u.values)
     assert not sols.add(negated)
     assert len(sols) == 1
+    # a set not told the drive is odd keeps both signs
+    plain = SolutionSet(tol=1e-6)
+    assert plain.add(res) and plain.add(negated)
+    assert len(plain) == 2
 
 
 def test_solution_set_sorted_by_energy(cfg):
@@ -380,6 +393,21 @@ def test_bump_amplitude_closed_form(ref_problem):
     assert c1 == pytest.approx(np.sqrt(np.exp(16.0) - 1.0), rel=1e-8)
 
 
+@pytest.mark.parametrize("make", [
+    lambda rng: make_reference_problem(K=6),
+    lambda rng: make_pure_power_problem(K=3, q=3.0),
+    lambda rng: make_constant_problem(K=3, nl=_asymmetric_drive()),
+    lambda rng: random_problem(rng, K=4),
+    lambda rng: random_problem(rng, K=4, p=3.0),
+])
+def test_bump_amplitude_matches_per_point_scan(make, rng):
+    # the grid is evaluated as one array; the arithmetic per point is the
+    # scalar scan's, so the amplitudes must agree exactly
+    prob = make(rng)
+    for site in range(-3, 4):
+        assert bump_amplitude(prob, site) == per_point_bump_amplitude(prob, site)
+
+
 def test_bump_amplitude_none_without_superlinearity():
     prob = make_constant_problem(K=3)  # zero drive never balances
     assert bump_amplitude(prob, 0) is None
@@ -402,6 +430,78 @@ def test_sequence_strictly_increasing(ref_problem, cfg):
     e = sols.energies
     assert np.all(np.diff(e) > 1e-8)
     assert np.all(e > 0.0)
+
+
+def test_sequence_deflation_rounds_add_a_rung(monkeypatch):
+    # bump starts and the mountain pass leave this ladder short: the first
+    # deflation round adds the J ~ 1103178.26 rung, the second adds nothing,
+    # and the search ends one rung short
+    prob = make_reference_problem(K=12)
+    deflated = []
+    plain = solver.deflated_solve
+
+    def recorded(*args):
+        deflated.append(plain(*args))
+        return deflated[-1]
+
+    monkeypatch.setattr(solver, "deflated_solve", recorded)
+    sols = solution_sequence(prob, SolverConfig(seed=12345), 6)
+    n_starts = len(solver._candidate_starts(prob, max_site=4))
+    assert len(deflated) == 2 * n_starts
+    assert sols.warning == "found 5 of 6 requested solutions before the search budget ran out"
+    rung = 1103178.2581517622
+    np.testing.assert_allclose(sols.energies, [4.179126380436237, 893424.7503922861,
+                                               1102664.428352505, rung, 2645688.506548308],
+                               rtol=1e-9)
+    assert any(r.converged and r.energy == pytest.approx(rung, rel=1e-9)
+               for r in deflated[:n_starts])
+
+
+def test_enumerate_anchors_the_roots_it_rejects(monkeypatch):
+    # every converged deflated root becomes an anchor, accepted or not, and
+    # a round that stores nothing is the last one
+    prob = make_pure_power_problem(K=2)
+    n_anchors = []
+    plain = solver.deflated_solve
+
+    def recorded(known, *args):
+        n_anchors.append(len(known))
+        return plain(known, *args)
+
+    monkeypatch.setattr(solver, "deflated_solve", recorded)
+    starts = solver._candidate_starts(prob)
+    stored = solver._enumerate(prob, SolverConfig(seed=0), [], starts, starts,
+                               accept=lambda res: None, done=lambda stored: False,
+                               max_rounds=4, jitter=0.0, rng=np.random.default_rng(0))
+    assert len(stored) == 0
+    assert len(n_anchors) == len(starts)
+    assert n_anchors[0] == 1 and n_anchors[-1] > 1
+    assert n_anchors == sorted(n_anchors)
+
+
+def _asymmetric_drive():
+    # f(-t) != -f(t), so -u is no root where u is one
+    return CustomNonlinearity(2.0, lambda k, t: t ** 3 + t * t / 2,
+                              F_scalar=lambda k, t: t ** 4 / 4 + t ** 3 / 6,
+                              df_scalar=lambda k, t: 3 * t * t + t)
+
+
+@pytest.mark.parametrize("odd", [True, False], ids=["odd", "not_odd"])
+def test_every_returned_member_is_a_root(odd):
+    if odd:
+        find_prob, seq_prob = make_pure_power_problem(K=2), make_reference_problem(K=12)
+    else:
+        find_prob = make_constant_problem(K=2, nl=_asymmetric_drive())
+        seq_prob = ProblemSpec(2.0, 1.0, CoefficientField.polynomial(Window(10), exponent=2.0),
+                               _asymmetric_drive())
+    assert find_prob.nonlinearity.is_odd is odd
+    cfg = SolverConfig(seed=0)
+    for prob, sols in ((find_prob, find_critical_points(find_prob, cfg)),
+                       (seq_prob, solution_sequence(seq_prob, cfg, 3))):
+        assert len(sols) > 0
+        for r in sols:
+            assert float(np.max(np.abs(residual_many(r.u.values, prob)))) <= cfg.residual_tol
+            assert energy(r.u, prob) == pytest.approx(r.energy, rel=1e-12)
 
 
 def test_sequence_zero_target(ref_problem, cfg):
