@@ -21,9 +21,10 @@ r_n above r_n^p / (2p).  On Y_n, a comparison constant C_n with
 F(k, t) >= 2 C_n |t|^p for |k| <= h_n, |t| > T give a radius
 rho_n > max((lam p C_n)^(1/p) T, r_n) at which the energy is nonpositive.
 
-beta and C_n are heuristic extrema (certified lower bounds from
-maximization); every downstream claim that would need an upper bound is
-re-verified by direct sphere sampling instead of being trusted.
+C_n is exact: one sign vertex attains it (see ``sup_norm_constant``).
+beta is a sampled maximum, so only a lower bound on the true sup; every
+downstream claim that would need an upper bound on beta is re-verified by
+direct sphere sampling instead of being trusted.
 """
 
 from __future__ import annotations
@@ -65,8 +66,6 @@ _T_SEARCH_MAX = 1e140
 # (vectorized and scalar kernels round differently); the threshold screen
 # drops a grid point only when its margin is negative by far more than that.
 _SCREEN_RTOL = 1e-6
-# Sign vertices evaluated per batch by the exhaustive C_n search.
-_VERTEX_BLOCK = 4096
 
 
 class FountainGeometryError(RuntimeError):
@@ -229,66 +228,21 @@ def z_sphere_radius(d: float, q: float, lam: float, p: float,
     return float((margin / (lam * d * beta_q ** q)) ** (1.0 / (q - p)))
 
 
-def _vertex_objective(coeffs: CoefficientField, p: float, window: Window,
-                      sites: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    V = _embed(window, sites, signs.astype(float))
-    return weighted_norm_many(V, coeffs, p) ** p
-
-
-def sup_norm_constant(split: BasisSplit, lam: float, starts: int = 16,
-                      seed: int = 0, verify_samples: int = 10_000) -> float:
+def sup_norm_constant(split: BasisSplit, lam: float) -> float:
     """Comparison constant C_n with ||u||^p / p <= lam C_n ||u||_inf^p on Y_n.
 
-    ||u||^p is convex, so its maximum over the sup-norm unit cube sits at a
-    sign vertex: the search enumerates vertices exactly for small blocks
-    and uses greedy sign flips otherwise.  The candidate is then tested on
-    fresh random samples and doubled until no sampled violation remains.
+    Exact, from one sign vertex.  Y_n is a contiguous run of sites (the
+    first n in spiral order) and a, b > 0 (``CoefficientField`` enforces
+    both), so on the cube ||u||_inf <= 1 every term of ||u||^p is bounded on
+    its own: b(k) |u(k)|^p <= b(k) on the run, a(k) |u(k) - u(k-1)|^p
+    <= 2^p a(k) inside it and <= a(k) at its two ends, where one neighbour
+    is zero; all other terms vanish.  The alternating vertex u(k) = (-1)^k
+    on Y_n attains all of these bounds at once, so it is the maximizer and
+    C_n = ||u||^p / (p lam).
     """
     sites = split.y_sites
-    m = sites.size
-    window = split.window
-    rng = np.random.default_rng(seed)
-    if m <= 16:
-        # all 2^m vertices, _VERTEX_BLOCK at a time: bit j of the vertex
-        # number (most significant first) gives the sign at site j
-        shifts = np.arange(m - 1, -1, -1)
-        best = -np.inf
-        for lo in range(0, 2 ** m, _VERTEX_BLOCK):
-            number = np.arange(lo, min(lo + _VERTEX_BLOCK, 2 ** m))
-            signs = ((number[:, None] >> shifts) & 1) * 2.0 - 1.0
-            vals = _vertex_objective(split.coeffs, split.p, window, sites, signs)
-            best = max(best, float(np.max(vals)))
-    else:
-        signs = np.sign(rng.standard_normal((starts, m)))
-        signs[signs == 0] = 1.0
-        signs[0] = 1.0
-        signs[1] = (-1.0) ** np.arange(m)
-        vals = _vertex_objective(split.coeffs, split.p, window, sites, signs)
-        for _ in range(64):  # greedy single-flip passes
-            changed = False
-            for j in range(m):
-                flipped = signs.copy()
-                flipped[:, j] *= -1.0
-                fvals = _vertex_objective(split.coeffs, split.p, window, sites, flipped)
-                gain = fvals > vals + 1e-15
-                if np.any(gain):
-                    signs[gain] = flipped[gain]
-                    vals[gain] = fvals[gain]
-                    changed = True
-            if not changed:
-                break
-        best = float(np.max(vals))
-    c = best / (split.p * lam)
-    for _ in range(64):
-        coords = rng.uniform(-1.0, 1.0, size=(verify_samples, m))
-        peak = np.max(np.abs(coords), axis=-1)
-        coords /= np.where(peak == 0.0, 1.0, peak)[:, None]
-        V = _embed(window, sites, coords)
-        lhs = weighted_norm_many(V, split.coeffs, split.p) ** split.p / split.p
-        if np.all(lhs <= lam * c * (1.0 + 1e-12)):
-            return c
-        c *= 2.0
-    raise FountainGeometryError("comparison constant failed to verify after inflation")
+    v = _embed(split.window, sites, (-1.0) ** sites)
+    return float(weighted_norm_many(v, split.coeffs, split.p) ** split.p) / (split.p * lam)
 
 
 def superlinearity_threshold(prob: ProblemSpec, c_sup: float, h_n: int,
@@ -489,7 +443,7 @@ def fountain_table(prob: ProblemSpec, q: float, d: float, n_list: Sequence[int],
             floor = r_z ** p / (2.0 * p)
             zc = verify_energy_floor(split, prob, r_z, floor, samples, seed + 100 + n)
             z_min, z_viol = zc.extreme_energy, zc.violations
-        c_sup = sup_norm_constant(split, lam, seed=seed + 200 + n)
+        c_sup = sup_norm_constant(split, lam)
         note = ""
         threshold = r_y = y_max = None
         y_viol = y_strong = None

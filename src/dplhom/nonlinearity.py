@@ -33,7 +33,6 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from .lattice import phi_p, phi_p_prime
 
@@ -96,6 +95,8 @@ def _log_primitive_quad(p: float, nu: float, s: float) -> float:
     """G(s) = int_0^s x^(p-1) ln(1 + x^nu) dx for s >= 0, by quadrature."""
     if s == 0.0:
         return 0.0
+    from scipy.integrate import quad  # costs a third of ``import dplhom``
+
     val, err = quad(lambda x: x ** (p - 1.0) * math.log1p(x ** nu), 0.0, s,
                     epsabs=_QUAD_ABS_TOL, epsrel=1e-12, limit=_QUAD_LIMIT)
     if err > 1e-8:
@@ -252,6 +253,8 @@ class CustomNonlinearity(Nonlinearity):
         if t == 0.0:
             val = 0.0
         else:
+            from scipy.integrate import quad  # costs a third of ``import dplhom``
+
             val, err = quad(lambda s: self.f_scalar(int(k), s), 0.0, t,
                             epsabs=_QUAD_ABS_TOL, epsrel=1e-12, limit=_QUAD_LIMIT)
             if err > 1e-8:

@@ -176,7 +176,7 @@ def _newton_values(v0: np.ndarray, prob: ProblemSpec, cfg: SolverConfig,
     its step is the tridiagonal Newton step delta over 1 - grad(log M).delta:
     Sherman-Morrison on M J + r grad(M)^T.  Where the plain loop falls back
     to steepest descent, and at a start that sits on an anchor, the deflated
-    loop stops.
+    loop stops.  Only the plain loop records a history.
     """
     v = np.array(v0, dtype=float)
     history = []
@@ -188,6 +188,8 @@ def _newton_values(v0: np.ndarray, prob: ProblemSpec, cfg: SolverConfig,
         return _deflation_terms(x, anchors, power) if deflate else (1.0, None)
 
     def record(it, r):
+        if deflate:  # deflated_solve keeps no deflated history
+            return
         u = LatticeSeq(prob.window, v)
         history.append(IterationRecord(it, float(np.max(np.abs(r))),
                                        energy(u, prob), cerami_metric(u, prob)))
@@ -385,7 +387,9 @@ def deflated_solve(known, u0: LatticeSeq, prob: ProblemSpec,
     away from the anchors is a root of r; it is polished on the undeflated
     residual before it is returned.  A run that stops or runs out of
     iterations is returned as it stands with ``converged=False``, and so is
-    a polished root that collapses back onto a known anchor.
+    a polished root that collapses back onto a known anchor.  The deflated
+    iterations record no history: an unpolished result has none, a polished
+    one carries its polish's.
     """
     anchors = _anchor_values(known, prob.nonlinearity.is_odd)
     v, it, history, note = _newton_values(u0.values, prob, cfg, anchors)

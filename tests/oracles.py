@@ -6,6 +6,7 @@ rather than through the library's own code paths, so a test that compares
 the two is a genuine cross-check.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -188,6 +189,22 @@ def literal_diff(V):
     V = np.asarray(V, dtype=float)
     zero = np.zeros(V.shape[:-1] + (1,))
     return np.concatenate([V, zero], axis=-1) - np.concatenate([zero, V], axis=-1)
+
+
+def vertex_maximum_constant(split, lam):
+    """C_n by brute force: ||u||^p / (p lam) at every sign vertex of the Y_n cube.
+
+    ||u||^p is convex, so its maximum over the sup-norm unit cube sits at one
+    of the 2^m vertices; all of them are evaluated, with the norm summed from
+    the zero-extended differences by hand.
+    """
+    sites = split.y_sites + split.window.half_width
+    signs = np.array(list(itertools.product((-1.0, 1.0), repeat=sites.size)))
+    V = np.zeros((signs.shape[0], split.window.size))
+    V[:, sites] = signs
+    a, b, p = split.coeffs.a, split.coeffs.b, split.p
+    total = np.sum(a * np.abs(literal_diff(V)) ** p, axis=1) + np.sum(b * np.abs(V) ** p, axis=1)
+    return float(np.max(total)) / (p * lam)
 
 
 def per_point_threshold(prob, c_sup, h_n, t_lo=1e-3, t_hi=1e140, t_samples=64):

@@ -1,8 +1,13 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import dplhom.cli as cli
+from dplhom import LatticeSeq, newton_solve
 from dplhom.config import ConfigError, parse_config_text
-from dplhom.records import load_json, verify_record
+from dplhom.records import load_json, save_json, solution_record, verify_record
 
 
 LOG_POWER_LINES = [
@@ -224,6 +229,28 @@ def test_sequence_records_roundtrip(tmp_path):
     plot = (out / "solution_000.csv").read_text().splitlines()
     assert plot[0] == "k,u"
     assert len(plot) == 1 + 25  # window 2K+1 rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([1.5, 2.0, 3.0]), st.integers(1, 4), st.sampled_from(["log", "pure"]),
+       st.data())
+def test_solution_records_roundtrip_through_verify(tmp_path_factory, p, K, drive, data):
+    drive_lines = (["problem.nonlinearity.kind = log_power", "problem.nonlinearity.mu = 2.0",
+                    f"problem.nonlinearity.nu = {p!r}"] if drive == "log" else
+                   ["problem.nonlinearity.kind = pure_power",
+                    f"problem.nonlinearity.q = {p + 1.5!r}"])
+    cfg = parse_config_text("\n".join([
+        f"problem.p = {p!r}", "problem.lambda = 0.7", f"problem.half_width = {K}",
+        "problem.coeff.kind = polynomial", "problem.coeff.exponent = 2.0",
+        "solver.max_iter = 3"] + drive_lines) + "\n")
+    prob = cfg.build_problem()
+    v0 = data.draw(hnp.arrays(np.float64, prob.window.size, elements=st.floats(-3.0, 3.0)))
+    res = newton_solve(LatticeSeq(prob.window, v0), prob, cfg.build_solver())
+    path = tmp_path_factory.mktemp("record") / "solution.json"
+    save_json(path, solution_record(cfg, 0, res))
+    drifts = verify_record(load_json(path))
+    assert drifts["energy"] <= 1e-12
+    assert drifts["residual_inf_norm"] <= 1e-12
 
 
 def test_sequence_zero_target(tmp_path):

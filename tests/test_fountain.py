@@ -12,9 +12,8 @@ from dplhom import (BasisSplit, CoefficientField, CustomNonlinearity,
                     verify_energy_ceiling, verify_energy_floor,
                     weighted_norm, weighted_norm_many, y_sphere_radius,
                     z_sphere_radius)
-import dplhom.fountain as fountain
 from dplhom.fountain import spiral_sites
-from oracles import per_point_threshold
+from oracles import per_point_threshold, vertex_maximum_constant
 
 
 @pytest.fixture(scope="module")
@@ -137,18 +136,19 @@ def test_radius_argument_validation():
 def test_sup_norm_constant_one_spike(coeffs6):
     split = BasisSplit(coeffs6, 2.0, 1)
     want = (coeffs6.a[6] + coeffs6.a[7] + coeffs6.b[6]) / 2.0  # = 1.5
-    assert sup_norm_constant(split, lam=1.0, seed=0) == pytest.approx(want, rel=1e-12)
+    assert sup_norm_constant(split, lam=1.0) == pytest.approx(want, rel=1e-12)
 
 
-def test_sup_norm_constant_nondecreasing(coeffs6):
-    vals = [sup_norm_constant(BasisSplit(coeffs6, 2.0, n), 1.0, seed=0)
-            for n in range(1, 9)]
+def test_sup_norm_constant_nondecreasing():
+    coeffs = CoefficientField.polynomial(Window(12), exponent=2.0)
+    vals = [sup_norm_constant(BasisSplit(coeffs, 2.0, n), 1.0)
+            for n in range(1, coeffs.window.size + 1)]
     assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
 
 def test_sup_norm_constant_dominates_samples(coeffs6, rng):
     split = BasisSplit(coeffs6, 2.0, 5)
-    c = sup_norm_constant(split, lam=1.0, seed=0)
+    c = sup_norm_constant(split, lam=1.0)
     pos = split.y_sites + coeffs6.window.half_width
     for _ in range(200):
         v = np.zeros(coeffs6.window.size)
@@ -167,35 +167,37 @@ def test_sup_norm_constant_weak_coupling_row_sum():
     coeffs = CoefficientField.constant(Window(6), a=1e-9, b=1.0)
     for n in (1, 3, 5):
         split = BasisSplit(coeffs, 2.0, n)
-        got = sup_norm_constant(split, lam=1.0, seed=0)
+        got = sup_norm_constant(split, lam=1.0)
         assert got == pytest.approx(n / 2.0, rel=1e-6)
 
 
-def test_sup_norm_constant_greedy_branch():
-    # block larger than the exhaustive cutoff exercises the sign search
-    coeffs = CoefficientField.polynomial(Window(12), exponent=2.0)
-    split = BasisSplit(coeffs, 2.0, 20)
-    c_big = sup_norm_constant(split, lam=1.0, seed=0)
-    c_small = sup_norm_constant(BasisSplit(coeffs, 2.0, 16), lam=1.0, seed=0)
-    assert c_big >= c_small - 1e-12
+def test_sup_norm_constant_covers_every_vertex_with_varying_a():
+    # a single-flip search over sign vertices stopped at 396.270 here, below
+    # the 396.747 of the alternating vertex, so its C_n was no upper bound
+    rng = np.random.default_rng(1)
+    a = rng.uniform(0.01, 5.0, size=18)
+    b = rng.uniform(0.5, 50.0, size=17)
+    split = BasisSplit(CoefficientField.from_arrays(Window(8), a, b), 2.5, 17)
+    want = vertex_maximum_constant(split, 0.7)
+    got = sup_norm_constant(split, 0.7)
+    assert got >= want
+    assert got == pytest.approx(want, rel=1e-14)
 
 
-def test_sup_norm_constant_exhaustive_search_in_bounded_blocks(monkeypatch):
-    coeffs = CoefficientField.polynomial(Window(6), exponent=2.0)
-    split = BasisSplit(coeffs, 2.0, 13)
-    sizes = []
-    objective = fountain._vertex_objective
-
-    def spy(*args):
-        sizes.append(args[-1].shape[0])
-        return objective(*args)
-
-    monkeypatch.setattr(fountain, "_vertex_objective", spy)
-    got = sup_norm_constant(split, lam=1.0, seed=0)
-    assert sizes == [4096, 4096]
-    signs = np.array(np.meshgrid(*([[-1.0, 1.0]] * 13), indexing="ij")).reshape(13, -1).T
-    V = fountain._embed(split.window, split.y_sites, signs)
-    assert got == float(np.max(weighted_norm_many(V, coeffs, 2.0) ** 2.0)) / 2.0
+@pytest.mark.parametrize("p", [1.5, 2.0, 2.5, 3.0])
+def test_sup_norm_constant_matches_vertex_oracle(p):
+    rng = np.random.default_rng(int(10 * p))
+    for K, n in ((3, 7), (5, 4), (6, 13), (7, 14)):
+        window = Window(K)
+        a = rng.uniform(0.01, 5.0, size=window.size + 1)
+        b = rng.uniform(0.5, 50.0, size=window.size)
+        lam = float(rng.uniform(0.1, 2.0))
+        split = BasisSplit(CoefficientField.from_arrays(window, a, b), p, n)
+        assert sup_norm_constant(split, lam) == pytest.approx(
+            vertex_maximum_constant(split, lam), rel=1e-14)
+    split = BasisSplit(CoefficientField.polynomial(Window(6), exponent=2.0), p, 13)
+    assert sup_norm_constant(split, 1.0) == pytest.approx(
+        vertex_maximum_constant(split, 1.0), rel=1e-14)
 
 
 # ---- superlinearity threshold ----------------------------------------------------
@@ -369,7 +371,7 @@ def test_energy_ceiling_reports_violation_without_drive(coeffs6):
 def test_energy_ceiling_reference_small(coeffs6):
     prob = ProblemSpec(2.0, 1.0, coeffs6, LogPower(2.0, 2.0, 2.0))
     split = BasisSplit(coeffs6, 2.0, 1)
-    c = sup_norm_constant(split, 1.0, seed=0)
+    c = sup_norm_constant(split, 1.0)
     T = superlinearity_threshold(prob, c, split.support_radius)
     rho = y_sphere_radius(1.0, 2.0, c, T, 1.0)
     chk = verify_energy_ceiling(split, prob, rho, 500, seed=4)

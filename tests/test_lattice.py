@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from dplhom import (CoefficientField, CustomNonlinearity, LatticeSeq, LogPower,
-                    ProblemSpec, Window, cerami_metric, energy,
-                    energy_parts, forward_diff, lp_norm, phi_p, phi_p_prime,
+                    ProblemSpec, PurePower, Window, cerami_metric, energy,
+                    energy_many, energy_parts, forward_diff, lp_norm, phi_p, phi_p_prime,
                     residual, residual_many, sup_norm, tail_mass, weighted_norm)
 from conftest import make_constant_problem, random_problem
 from dplhom.lattice import _diff_many
@@ -256,6 +256,32 @@ def test_energy_even_under_odd_drive(rng):
     assert emu == pytest.approx(eu, rel=1e-12)
     assert np.allclose(residual(mu, prob).values, -residual(u, prob).values,
                        rtol=1e-12, atol=1e-14)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([1.5, 2.0, 2.5, 3.0]), st.integers(1, 5), st.sampled_from(["pure", "log"]),
+       st.data())
+def test_energy_exactly_even_under_odd_drives(p, K, drive, data):
+    window = Window(K)
+    weights = st.floats(0.1, 10.0)
+    a = data.draw(hnp.arrays(np.float64, window.size + 1, elements=weights))
+    b = data.draw(hnp.arrays(np.float64, window.size, elements=weights))
+    nl = PurePower(p, q=p + data.draw(st.floats(0.5, 2.0))) if drive == "pure" \
+        else LogPower(p, mu=2.0, nu=p)
+    prob = ProblemSpec(p, data.draw(st.floats(0.1, 2.0)),
+                       CoefficientField.from_arrays(window, a, b), nl)
+    V = data.draw(hnp.arrays(np.float64, (3, window.size), elements=st.floats(-50.0, 50.0)))
+    assert nl.is_odd
+    assert _bits(energy_many(-V, prob)) == _bits(energy_many(V, prob))
+
+
+def test_energy_not_even_under_a_non_odd_drive():
+    # f = t^2 is even, so F = t^3 / 3 is odd and J(-u) - J(u) = 2 lam sum F(u)
+    nl = CustomNonlinearity(2.0, lambda k, t: t * t, F_scalar=lambda k, t: t ** 3 / 3.0)
+    prob = make_constant_problem(K=2, nl=nl)
+    V = LatticeSeq.spike(prob.window, 0, 1.0).values
+    assert not nl.is_odd
+    assert energy_many(-V, prob) - energy_many(V, prob) == pytest.approx(2.0 / 3.0, rel=1e-12)
 
 
 def test_phi_homogeneity(rng):

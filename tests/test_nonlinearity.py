@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import dplhom
 from dplhom import CustomNonlinearity, LogPower, PurePower
 from oracles import trapezoid_primitive
 
@@ -181,3 +187,14 @@ def test_custom_odd_flag_and_zero_family():
     assert z.is_odd
     assert z.f(3, 1.7) == 0.0
     assert z.F(3, 1.7) == 0.0
+
+
+def test_import_leaves_quadrature_unloaded():
+    # scipy.integrate is only needed by the two quadrature primitives
+    src = str(Path(dplhom.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, dplhom; print('scipy.integrate' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

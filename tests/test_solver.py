@@ -236,6 +236,7 @@ def test_diverging_deflated_solve_is_not_polished(monkeypatch, cfg):
     assert not res.converged
     assert res.note == "deflated iteration diverged"
     assert res.iterations > 0
+    assert res.history == ()
     assert calls == []
 
 
