@@ -267,3 +267,28 @@ def per_point_bump_amplitude(prob, site):
         else:
             lo = mid
     return 0.5 * (lo + hi)
+
+
+def power_method_lower_bound(A_Z, q, starts=8, seed=0, iters=2000):
+    """Sup of ||u||_q over the ellipsoid u^T A_Z u = 1, from below.
+
+    The nonlinear power method of D. W. Boyd (LAA 9, 1974): u <- A_Z^-1
+    |u|^(q-1) sign(u), renormalized in the A_Z norm.  ||u||_q^q is convex,
+    so each step (the maximizer over the ellipsoid of its linearization at
+    u) does not decrease it, and every iterate is feasible: the result is a
+    lower bound.  Starts: ``starts`` Gaussian vectors plus the column of
+    A_Z^-1 at the argmax of its diagonal, the maximizer of ||u||_inf.
+    """
+    A_inv = np.linalg.inv(A_Z)
+    rng = np.random.default_rng(seed)
+    U = np.column_stack([rng.standard_normal((A_Z.shape[0], starts)),
+                         A_inv[:, np.argmax(np.diag(A_inv))]])
+    values = np.zeros(U.shape[1])
+    for _ in range(iters):
+        U /= np.sqrt(np.sum(U * (A_Z @ U), axis=0))
+        new = np.sum(np.abs(U) ** q, axis=0) ** (1.0 / q)
+        if np.all(new <= values * (1.0 + 1e-15)):
+            break
+        values = np.maximum(values, new)
+        U = A_inv @ (np.abs(U) ** (q - 1.0) * np.sign(U))
+    return float(np.max(values))

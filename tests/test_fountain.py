@@ -12,8 +12,10 @@ from dplhom import (BasisSplit, CoefficientField, CustomNonlinearity,
                     verify_energy_ceiling, verify_energy_floor,
                     weighted_norm, weighted_norm_many, y_sphere_radius,
                     z_sphere_radius)
+import dplhom.fountain as fountain
 from dplhom.fountain import spiral_sites
-from oracles import per_point_threshold, vertex_maximum_constant
+from oracles import (per_point_threshold, power_method_lower_bound,
+                     vertex_maximum_constant)
 
 
 @pytest.fixture(scope="module")
@@ -89,14 +91,88 @@ def test_beta_matches_eigen_oracle(coeffs6):
 
 def test_beta_profile_nonincreasing(coeffs6):
     n_list = list(range(1, coeffs6.window.size + 1))
-    for q in (2.0, 4.0):
-        prof = embedding_profile(coeffs6, 2.0, q, n_list, seed=3)
+    for p, q in ((2.0, 2.0), (2.0, 4.0), (2.5, 2.5), (2.5, 4.0)):
+        prof = embedding_profile(coeffs6, p, q, n_list, seed=3)
         assert np.all(np.diff(prof) <= 1e-9)
+
+
+def _z_block(A, coeffs, n):
+    pos = BasisSplit(coeffs, 2.0, n).z_sites + coeffs.window.half_width
+    return A[np.ix_(pos, pos)]
+
+
+def test_beta_profile_p2_is_the_eigen_value(coeffs6):
+    A = quadratic_form_matrix(coeffs6)
+    n_list = list(range(1, coeffs6.window.size + 1))
+    prof = embedding_profile(coeffs6, 2.0, 2.0, n_list)
+    want = [np.linalg.eigvalsh(_z_block(A, coeffs6, n))[0] ** -0.5 for n in n_list]
+    np.testing.assert_allclose(prof, want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("q", [2.0, 3.0, 4.0])
+def test_beta_profile_p2_bounds_the_sampled_constant(coeffs6, q):
+    n_list = list(range(1, coeffs6.window.size + 1))
+    prof = embedding_profile(coeffs6, 2.0, q, n_list)
+    for n, bound in zip(n_list, prof):
+        assert embedding_constant(BasisSplit(coeffs6, 2.0, n), q, seed=n) <= bound * (1 + 1e-12)
+
+
+def test_beta_q_profile_brackets_power_method_on_reference():
+    coeffs = CoefficientField.polynomial(Window(50), exponent=2.0)
+    A = quadratic_form_matrix(coeffs)
+    n_list = list(range(1, coeffs.window.size + 1))
+    prof = embedding_profile(coeffs, 2.0, 4.0, n_list)
+    for n, upper in zip(n_list, prof):
+        lower = power_method_lower_bound(_z_block(A, coeffs, n), 4.0)
+        assert lower <= upper * (1 + 1e-12)
+        assert upper <= 1.10 * lower
+
+
+def test_beta_profile_p2_above_the_sampled_ascent_on_reference():
+    # beta_{2,n} that the ratio ascent returned for the criterion-7
+    # coefficients (seed 2024): it stopped short of the sup at small n
+    ascent = {1: 0.633868615557011, 2: 0.519872638076324,
+              3: 0.5116326092311738, 5: 0.3826114354562218}
+    coeffs = CoefficientField.polynomial(Window(50), exponent=2.0)
+    prof = embedding_profile(coeffs, 2.0, 2.0, sorted(ascent))
+    ratio = prof / np.array([ascent[n] for n in sorted(ascent)])
+    assert np.all(ratio > 1.001)
+    assert ratio[0] > 1.10 and ratio[2] > 1.01  # n = 1 and n = 3
+
+
+def test_beta_profile_p2_draws_no_random_numbers(coeffs6, monkeypatch):
+    def no_rng(*args, **kwargs):
+        raise AssertionError("the p = 2 profile must not sample")
+
+    monkeypatch.setattr(np.random, "default_rng", no_rng)
+    prof = embedding_profile(coeffs6, 2.0, 4.0, [1, 5, 13], seed=5)
+    assert np.all(np.isfinite(prof))
+
+
+@pytest.mark.parametrize("p, sampled", [(2.0, False), (2.5, True)])
+def test_fountain_table_samples_beta_only_off_p2(monkeypatch, p, sampled):
+    calls = []
+    real = fountain._ratio_ascent
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(fountain, "_ratio_ascent", spy)
+    coeffs = CoefficientField.polynomial(Window(4), exponent=2.0)
+    prob = ProblemSpec(p, 1.0, coeffs, LogPower(p, 2.0, p))
+    rows = fountain_table(prob, q=4.0, d=0.2, n_list=[1, 2, 3], seed=1, samples=50)
+    assert bool(calls) is sampled
+    for r in rows:
+        assert r.note.startswith("beta is a sampled lower bound; ") is sampled
 
 
 def test_beta_rejects_q_below_p(coeffs6):
     with pytest.raises(ValueError):
         embedding_constant(BasisSplit(coeffs6, 2.0, 1), 1.5)
+    for p in (2.0, 2.5):
+        with pytest.raises(ValueError):
+            embedding_profile(coeffs6, p, p - 0.5, [1, 2])
 
 
 def test_lq_below_lp_on_sequences(rng):
@@ -418,8 +494,11 @@ def test_fountain_table_reference_small():
 
 def test_fountain_table_no_drive_notes_error():
     coeffs = CoefficientField.constant(Window(4))
-    prob = ProblemSpec(2.0, 1.0, coeffs, CustomNonlinearity.zero(2.0))
-    rows = fountain_table(prob, q=4.0, d=1.0, n_list=[1, 2], seed=0, samples=50)
-    for r in rows:
-        assert r.threshold is None
-        assert "no threshold T" in r.note
+    for p in (2.0, 2.5):
+        prob = ProblemSpec(p, 1.0, coeffs, CustomNonlinearity.zero(p))
+        rows = fountain_table(prob, q=4.0, d=1.0, n_list=[1, 2], seed=0, samples=50)
+        for r in rows:
+            assert r.threshold is None
+            assert "no threshold T" in r.note
+            assert r.note.startswith("beta is a sampled lower bound; ") is (p != 2.0)
+
