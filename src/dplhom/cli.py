@@ -61,7 +61,10 @@ def _parse_args(argv):
                        help="override the configured solver seed")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--quiet", action="store_true")
-    return parser.parse_args(argv)
+    args = parser.parse_args(argv)
+    if args.seed is not None and args.seed < 0:
+        parser.error(f"--seed must be nonnegative, got {args.seed}")
+    return args
 
 
 def _say(quiet: bool, *parts):

@@ -2,7 +2,9 @@
 
 The format is one ``section.key = value`` assignment per line, ``#`` for
 comments.  Values stay raw strings until a typed accessor parses them, so
-error messages can point at the exact key and line.  Example:
+error messages can point at the exact key and line.  A key outside
+``KNOWN_KEYS`` is rejected at parse time, so a misspelling cannot silently
+fall back to a default.  Example:
 
     problem.p = 2.0
     problem.lambda = 1.0
@@ -26,7 +28,28 @@ from .lattice import CoefficientField, ProblemSpec, Window
 from .nonlinearity import LogPower, PurePower, WEIGHT_CONVENTIONS
 from .solver import SolverConfig
 
-__all__ = ["ConfigError", "RunConfig", "parse_config_text", "serialize_config"]
+__all__ = ["ConfigError", "KNOWN_KEYS", "RunConfig", "parse_config_text",
+           "serialize_config"]
+
+# Every key that a builder below or a CLI subcommand reads.
+KNOWN_KEYS = frozenset({
+    "problem.p", "problem.lambda", "problem.half_width",
+    "problem.coeff.kind", "problem.coeff.a", "problem.coeff.b",
+    "problem.coeff.exponent", "problem.coeff.a_values", "problem.coeff.b_values",
+    "problem.nonlinearity.kind", "problem.nonlinearity.mu", "problem.nonlinearity.nu",
+    "problem.nonlinearity.weight", "problem.nonlinearity.q", "problem.nonlinearity.c",
+    "solver.seed", "solver.residual_tol", "solver.max_iter",
+    "solver.line_search.shrink", "solver.line_search.decrease", "solver.jacobian_cap",
+    "solver.deflation_exponent", "solver.path_points", "solver.tail_fraction",
+    "solver.tail_tol", "solver.drift_tol", "solver.continuation_growth",
+    "check.k_max", "check.t_min", "check.t_max", "check.per_decade", "check.s_points",
+    "check.summability_T", "check.required", "check.conditions",
+    "solve.start", "solve.site", "solve.amplitude",
+    "sequence.n_target",
+    "fountain.n_list", "fountain.q", "fountain.d", "fountain.samples",
+    "sweep.parameter", "sweep.values", "sweep.task",
+    "demo.T", "demo.T1", "demo.K_list",
+})
 
 
 class ConfigError(Exception):
@@ -97,17 +120,6 @@ class RunConfig:
             raise ConfigError(f"value must be >= {minimum}, got {val}", key, self._line(key))
         return val
 
-    def get_bool(self, key: str, default: bool = False) -> bool:
-        raw = self.values.get(key)
-        if raw is None:
-            return default
-        low = raw.lower()
-        if low in ("true", "yes", "1"):
-            return True
-        if low in ("false", "no", "0"):
-            return False
-        raise ConfigError(f"expected a boolean, got {raw!r}", key, self._line(key))
-
     def get_list(self, key: str, default: Optional[Sequence[str]] = None) -> list:
         raw = self.values.get(key)
         if raw is None:
@@ -174,7 +186,7 @@ class RunConfig:
         return PurePower(p, q, c)
 
     def build_solver(self, seed_override: Optional[int] = None) -> SolverConfig:
-        seed = self.get_int("solver.seed", default=0)
+        seed = self.get_int("solver.seed", default=0, minimum=0)
         if seed_override is not None:
             seed = seed_override
         return SolverConfig(
@@ -234,6 +246,8 @@ def parse_config_text(text: str) -> RunConfig:
             val = val[1:-1]
         if not key:
             raise ConfigError("empty key", line=lineno)
+        if key not in KNOWN_KEYS:
+            raise ConfigError("unknown key", key, lineno)
         if key in values:
             raise ConfigError("duplicate key", key, lineno)
         values[key] = val

@@ -128,12 +128,6 @@ class HypothesisReport:
         return self.verdict == REFUTED
 
 
-def _magnitudes(t_sorted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct |t| levels (in the given order) and per-level column masks."""
-    mags, idx = np.unique(np.abs(t_sorted), return_inverse=True)
-    return mags, idx
-
-
 def _check_B(nl, plan, coeffs: CoefficientField) -> HypothesisReport:
     b = coeffs.b
     k = coeffs.window.indices
@@ -224,7 +218,7 @@ def _h4_profiles(nl, plan):
     t = plan.large_t()
     k = plan.k_values[:, None]
     ratio = nl.f(k, t[None, :]) * t[None, :] / np.abs(t)[None, :] ** nl.p
-    mags, level = _magnitudes(t)
+    mags, level = np.unique(np.abs(t), return_inverse=True)   # ascending |t| levels
     prof = np.full((plan.k_values.size, mags.size), -np.inf)
     for j in range(t.size):  # worst (smallest) ratio per magnitude level
         prof[:, level[j]] = np.where(prof[:, level[j]] == -np.inf, ratio[:, j],

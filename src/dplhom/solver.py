@@ -33,7 +33,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -103,13 +103,8 @@ class SolverConfig:
                              "positive, stagnation_tol nonnegative")
         if self.max_path_sweeps < 1 or self.continuation_growth < 1:
             raise ValueError("max_path_sweeps and continuation_growth must be at least 1")
-
-
-class IterationRecord(NamedTuple):
-    iteration: int
-    residual_inf: float
-    energy: float
-    cerami: float
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -122,7 +117,6 @@ class SolveResult:
     tail_threshold: int
     iterations: int
     converged: bool
-    history: tuple = ()
     note: str = ""
     extras: dict = field(default_factory=dict, compare=False)
 
@@ -132,7 +126,7 @@ def _tail_threshold(window: Window, cfg: SolverConfig) -> int:
 
 
 def _finish(v: np.ndarray, prob: ProblemSpec, cfg: SolverConfig, iterations: int,
-            history, note: str = "", extras: Optional[dict] = None) -> SolveResult:
+            note: str = "") -> SolveResult:
     u = LatticeSeq(prob.window, v)
     r_inf = float(np.max(np.abs(residual_many(v, prob))))
     h = _tail_threshold(prob.window, cfg)
@@ -145,9 +139,7 @@ def _finish(v: np.ndarray, prob: ProblemSpec, cfg: SolverConfig, iterations: int
         tail_threshold=h,
         iterations=iterations,
         converged=bool(r_inf <= cfg.residual_tol),
-        history=tuple(history),
         note=note,
-        extras=extras or {},
     )
 
 
@@ -169,17 +161,16 @@ def _jacobian_bands(v: np.ndarray, prob: ProblemSpec, cfg: SolverConfig) -> np.n
 
 def _newton_values(v0: np.ndarray, prob: ProblemSpec, cfg: SolverConfig,
                    anchors: Optional[np.ndarray] = None):
-    """Core damped Newton loop on raw values; returns (v, iters, history, note).
+    """Core damped Newton loop on raw values; returns (v, iters, note).
 
     With an (m, n) ``anchors`` array the loop runs on the deflated residual
     M r, M = prod_i (1 + ||v - w_i||^-power).  Its merit is ||M r||^2, and
     its step is the tridiagonal Newton step delta over 1 - grad(log M).delta:
     Sherman-Morrison on M J + r grad(M)^T.  Where the plain loop falls back
     to steepest descent, and at a start that sits on an anchor, the deflated
-    loop stops.  Only the plain loop records a history.
+    loop stops.
     """
     v = np.array(v0, dtype=float)
-    history = []
     deflate = anchors is not None
     stop_note = "deflated iteration diverged" if deflate else "no descent direction made progress"
     power = cfg.deflation_exponent if cfg.deflation_exponent is not None else prob.p
@@ -187,20 +178,12 @@ def _newton_values(v0: np.ndarray, prob: ProblemSpec, cfg: SolverConfig,
     def deflation(x):
         return _deflation_terms(x, anchors, power) if deflate else (1.0, None)
 
-    def record(it, r):
-        if deflate:  # deflated_solve keeps no deflated history
-            return
-        u = LatticeSeq(prob.window, v)
-        history.append(IterationRecord(it, float(np.max(np.abs(r))),
-                                       energy(u, prob), cerami_metric(u, prob)))
-
     r = residual_many(v, prob)
     M, dlogM = deflation(v)
     note = ""
     it = 0
-    record(it, r)
     if not math.isfinite(M):  # the start sits on an anchor
-        return v, it, history, stop_note
+        return v, it, stop_note
     while it < cfg.max_iter:
         if M * float(np.max(np.abs(r))) <= cfg.residual_tol:
             break
@@ -242,21 +225,20 @@ def _newton_values(v0: np.ndarray, prob: ProblemSpec, cfg: SolverConfig,
                     stepped = True
                     break
                 alpha *= cfg.ls_shrink
-        record(it, r)
         if not stepped:
             note = stop_note
             break
     else:
         note = "max_iter exceeded"
-    return v, it, history, note
+    return v, it, note
 
 
 def newton_solve(u0: LatticeSeq, prob: ProblemSpec, cfg: SolverConfig) -> SolveResult:
     """Damped Newton refinement of a critical-point candidate."""
     if u0.window.half_width != prob.window.half_width:
         raise ValueError("initial guess lives on a different window than the problem")
-    v, it, history, note = _newton_values(u0.values, prob, cfg)
-    return _finish(v, prob, cfg, it, history, note)
+    v, it, note = _newton_values(u0.values, prob, cfg)
+    return _finish(v, prob, cfg, it, note)
 
 
 def _reparametrize(path: np.ndarray) -> np.ndarray:
@@ -387,14 +369,12 @@ def deflated_solve(known, u0: LatticeSeq, prob: ProblemSpec,
     away from the anchors is a root of r; it is polished on the undeflated
     residual before it is returned.  A run that stops or runs out of
     iterations is returned as it stands with ``converged=False``, and so is
-    a polished root that collapses back onto a known anchor.  The deflated
-    iterations record no history: an unpolished result has none, a polished
-    one carries its polish's.
+    a polished root that collapses back onto a known anchor.
     """
     anchors = _anchor_values(known, prob.nonlinearity.is_odd)
-    v, it, history, note = _newton_values(u0.values, prob, cfg, anchors)
+    v, it, note = _newton_values(u0.values, prob, cfg, anchors)
     if note:
-        return replace(_finish(v, prob, cfg, it, history, note), converged=False)
+        return replace(_finish(v, prob, cfg, it, note), converged=False)
     res = newton_solve(LatticeSeq(prob.window, v), prob, cfg)
     extras = dict(res.extras)
     extras["deflation"] = {"polish_move": float(np.max(np.abs(res.u.values - v)))}
@@ -575,7 +555,7 @@ def _enumerate(prob: ProblemSpec, cfg: SolverConfig, initial, starts, pool, acce
     odd = prob.nonlinearity.is_odd
     stored = SolutionSet(tol=cfg.dedup_tol, odd=odd)
     anchors = SolutionSet(tol=cfg.dedup_tol, odd=odd)
-    zero = _finish(np.zeros(prob.window.size), prob, cfg, 0, [])
+    zero = _finish(np.zeros(prob.window.size), prob, cfg, 0)
     anchors.add(zero)
     solved = (newton_solve(LatticeSeq(prob.window, v), prob, cfg) for v in starts)
     for res in itertools.chain([zero], initial, solved):

@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 
 import dplhom.cli as cli
 from dplhom import LatticeSeq, newton_solve
-from dplhom.config import ConfigError, parse_config_text
+from dplhom.config import KNOWN_KEYS, ConfigError, parse_config_text
 from dplhom.records import load_json, save_json, solution_record, verify_record
 
 
@@ -52,13 +55,34 @@ def test_parse_rejects_bad_line():
 
 def test_parse_rejects_duplicate_key():
     with pytest.raises(ConfigError) as err:
-        parse_config_text("a.b = 1\na.b = 2\n")
+        parse_config_text("problem.p = 1\nproblem.p = 2\n")
     assert "line 2" in str(err.value)
 
 
 def test_parse_comments_and_quotes():
-    cfg = parse_config_text('x.kind = "log_power"  # inline note\n\n# full line\n')
-    assert cfg.get_str("x.kind") == "log_power"
+    cfg = parse_config_text('problem.nonlinearity.kind = "log_power"  # inline note\n'
+                            '\n# full line\n')
+    assert cfg.get_str("problem.nonlinearity.kind") == "log_power"
+
+
+def test_parse_rejects_unknown_key():
+    with pytest.raises(ConfigError) as err:
+        parse_config_text("problem.p = 2.0\n# note\nsolver.residul_tol = banana\n")
+    assert (err.value.key, err.value.line) == ("solver.residul_tol", 3)
+
+
+def test_known_keys_are_the_keys_read():
+    # the table lists exactly the dotted keys that the builders and the
+    # subcommands read, so no key is accepted and then ignored
+    src = Path(cli.__file__).parent
+    head, _, table_and_rest = (src / "config.py").read_text(encoding="utf-8") \
+        .partition("KNOWN_KEYS = frozenset({")
+    read = set()
+    for text in (head, table_and_rest.partition("})")[2],
+                 (src / "cli.py").read_text(encoding="utf-8")):
+        read |= set(re.findall(r'"((?:problem|solver|check|solve|sequence|fountain|'
+                               r'sweep|demo)\.[A-Za-z_.0-9]+)"', text))
+    assert read == set(KNOWN_KEYS)
 
 
 def test_typed_accessor_errors_carry_key():
@@ -89,10 +113,28 @@ def test_cli_usage_error_exit_code(tmp_path):
                                   "solver.deflation_exponent = -2",
                                   "solver.deflation_exponent = 0",
                                   "solver.jacobian_cap = 0",
-                                  "solver.continuation_growth = 0"])
+                                  "solver.continuation_growth = 0",
+                                  "solver.seed = -5"])
 def test_cli_type_invariant_violation_exit_code(tmp_path, line):
     cfg = write_config(tmp_path, PURE_POWER_LINES + [line])
     assert run_cli("solve", cfg, tmp_path / "out") == cli.EXIT_USAGE
+
+
+def test_cli_misspelled_key_exit_code(tmp_path, capsys):
+    cfg = write_config(tmp_path, PURE_POWER_LINES + ["solver.residul_tol = banana",
+                                                     "solve.amplitde = 3.0"])
+    assert run_cli("solve", cfg, tmp_path / "out") == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("config error: unknown key")
+    assert f"'solver.residul_tol', line {len(PURE_POWER_LINES) + 1}" in err
+
+
+@pytest.mark.parametrize("command", ["check", "solve", "sequence", "fountain", "sweep",
+                                     "demo-inconsistency"])
+def test_cli_negative_seed_exit_code(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, PURE_POWER_LINES)
+    assert run_cli(command, cfg, tmp_path / "out", extra=["--seed", "-5"]) == cli.EXIT_USAGE
+    assert "--seed" in capsys.readouterr().err
 
 
 def test_cli_malformed_config_exit_code(tmp_path):
@@ -254,7 +296,7 @@ def test_solution_records_roundtrip_through_verify(tmp_path_factory, p, K, drive
 
 
 def test_sequence_zero_target(tmp_path):
-    cfg = write_config(tmp_path, SEQ_LINES + ["x.unused = 0"], name="z.cfg")
+    cfg = write_config(tmp_path, SEQ_LINES, name="z.cfg")
     cfgtext = (tmp_path / "z.cfg").read_text().replace("sequence.n_target = 2",
                                                        "sequence.n_target = 0")
     (tmp_path / "z.cfg").write_text(cfgtext)
