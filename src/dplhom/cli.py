@@ -169,8 +169,13 @@ def _fountain_n_list(cfg: RunConfig, size: int) -> list:
             lo, hi = int(lo_s), int(hi_s)
         except ValueError:
             raise ConfigError(f"bad range {raw!r}", "fountain.n_list")
-        return list(range(lo, hi + 1))
-    return cfg.get_int_list("fountain.n_list")
+        n_list = list(range(lo, hi + 1))
+    else:
+        n_list = cfg.get_int_list("fountain.n_list")
+    if not n_list:
+        raise ConfigError(f"no split index in {raw!r}", "fountain.n_list",
+                          cfg.lines.get("fountain.n_list"))
+    return n_list
 
 
 def cmd_fountain(cfg: RunConfig, seed: Optional[int], outdir: Path, quiet: bool) -> int:

@@ -18,6 +18,7 @@ fall back to a default.  Example:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -39,9 +40,6 @@ KNOWN_KEYS = frozenset({
     "problem.nonlinearity.kind", "problem.nonlinearity.mu", "problem.nonlinearity.nu",
     "problem.nonlinearity.weight", "problem.nonlinearity.q", "problem.nonlinearity.c",
     "solver.seed", "solver.residual_tol", "solver.max_iter",
-    "solver.line_search.shrink", "solver.line_search.decrease", "solver.jacobian_cap",
-    "solver.deflation_exponent", "solver.path_points", "solver.tail_fraction",
-    "solver.tail_tol", "solver.drift_tol", "solver.continuation_growth",
     "check.k_max", "check.t_min", "check.t_max", "check.per_decade", "check.s_points",
     "check.summability_T", "check.required", "check.conditions",
     "solve.start", "solve.site", "solve.amplitude",
@@ -100,6 +98,8 @@ class RunConfig:
             val = float(raw)
         except ValueError:
             raise ConfigError(f"expected a number, got {raw!r}", key, self._line(key))
+        if not math.isfinite(val):
+            raise ConfigError("expected a finite number", key, self._line(key))
         if minimum is not None and (val <= minimum if strict else val < minimum):
             op = ">" if strict else ">="
             raise ConfigError(f"value must be {op} {minimum}, got {val}", key, self._line(key))
@@ -132,10 +132,13 @@ class RunConfig:
     def get_float_list(self, key: str, default=None) -> list:
         items = self.get_list(key, default)
         try:
-            return [float(x) for x in items]
+            vals = [float(x) for x in items]
         except ValueError:
             raise ConfigError(f"expected numbers, got {self.values.get(key)!r}",
                               key, self._line(key))
+        if not all(math.isfinite(x) for x in vals):
+            raise ConfigError("expected a finite number", key, self._line(key))
+        return vals
 
     def get_int_list(self, key: str, default=None) -> list:
         items = self.get_list(key, default)
@@ -193,21 +196,7 @@ class RunConfig:
             residual_tol=self.get_float("solver.residual_tol", default=1e-10,
                                         minimum=0.0, strict=True),
             max_iter=self.get_int("solver.max_iter", default=100, minimum=1),
-            ls_shrink=self.get_float("solver.line_search.shrink", default=0.5),
-            ls_decrease=self.get_float("solver.line_search.decrease", default=1e-4),
-            jacobian_cap=self.get_float("solver.jacobian_cap", default=1e8,
-                                        minimum=0.0, strict=True),
-            deflation_exponent=(self.get_float("solver.deflation_exponent")
-                                if self.has("solver.deflation_exponent") else None),
-            path_points=self.get_int("solver.path_points", default=64, minimum=3),
             seed=seed,
-            tail_fraction=self.get_float("solver.tail_fraction", default=0.8),
-            tail_tol=self.get_float("solver.tail_tol", default=1e-6,
-                                    minimum=0.0, strict=True),
-            drift_tol=self.get_float("solver.drift_tol", default=1e-6,
-                                     minimum=0.0, strict=True),
-            continuation_growth=self.get_int("solver.continuation_growth",
-                                             default=10, minimum=1),
         )
 
     def build_plan(self) -> SamplingPlan:

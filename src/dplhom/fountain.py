@@ -196,14 +196,12 @@ def _quadratic_form(coeffs: CoefficientField) -> np.ndarray:
 
 
 def embedding_profile(coeffs: CoefficientField, p: float, q: float,
-                      n_list: Sequence[int], starts: int = 8, seed: int = 0,
-                      iters: int = 600) -> np.ndarray:
+                      n_list: Sequence[int], seed: int = 0) -> np.ndarray:
     """Embedding constants beta_{q,n} along n, nonincreasing in n.
 
-    Raises ValueError for q < p, as ``embedding_maximizer`` does; for p = 2
-    the bound below needs q >= 2.  For p = 2 the values are closed forms on A_Z, the principal submatrix of
-    the tridiagonal matrix A of ||u||^2 on the Z_n sites, and ``starts``,
-    ``seed`` and ``iters`` are unused:
+    Raises ValueError for q < p, as ``embedding_maximizer`` does.  For p = 2
+    the values are closed forms on A_Z, the principal submatrix of the
+    tridiagonal matrix A of ||u||^2 on the Z_n sites, and ``seed`` is unused:
 
     * beta_{2,n} = lambda_min(A_Z)^(-1/2), the exact sup of the Rayleigh
       quotient ||u||_2^2 / u^T A_Z u;
@@ -219,11 +217,11 @@ def embedding_profile(coeffs: CoefficientField, p: float, q: float,
     reference coefficients (K = 50, b = 1 + k^2, ||A_Z|| < 2600, lambda_min
     > 1.9) moves beta by under 1e-12 relative, far below ``_SLACK``.
 
-    For p != 2 each value is a projected ratio ascent from ``starts`` random
-    starts (drawn with ``seed``, ``iters`` steps each), so a sampled lower
-    bound.  It runs from the largest n down, seeding each maximization with
-    the best vector of the previous (smaller) tail block, which is feasible
-    in the larger one; the sampled sup therefore never increases with n.
+    For p != 2 each value is a projected ratio ascent from 8 random starts
+    (drawn with ``seed``, 600 steps each), so a sampled lower bound.  It
+    runs from the largest n down, seeding each maximization with the best
+    vector of the previous (smaller) tail block, which is feasible in the
+    larger one; the sampled sup therefore never increases with n.
     """
     if q < p:
         raise ValueError(f"q must be at least p = {p}, got {q}")
@@ -244,11 +242,11 @@ def embedding_profile(coeffs: CoefficientField, p: float, q: float,
         for n in reversed(n_sorted):
             split = BasisSplit(coeffs, p, n)
             sites = split.z_sites
-            coords = rng.standard_normal((starts, sites.size))
+            coords = rng.standard_normal((8, sites.size))
             U0 = _embed(window, sites, coords)
             if carry is not None:
                 U0 = np.vstack([U0, carry[None, :]])
-            val, best = _ratio_ascent(coeffs, p, q, window, sites, U0, iters)
+            val, best = _ratio_ascent(coeffs, p, q, window, sites, U0, 600)
             out[n] = val
             carry = best
     return np.array([out[int(n)] for n in n_list])
@@ -464,8 +462,7 @@ class FountainRow:
 
 
 def fountain_table(prob: ProblemSpec, q: float, d: float, n_list: Sequence[int],
-                   seed: int = 0, beta_starts: int = 8, beta_iters: int = 600,
-                   samples: int = 1000) -> list:
+                   seed: int = 0, samples: int = 1000) -> list:
     """Per-n geometry rows: beta values, radii, and sampled verifications.
 
     For p != 2 the betas are sampled lower bounds, and each row's note says
@@ -474,10 +471,8 @@ def fountain_table(prob: ProblemSpec, q: float, d: float, n_list: Sequence[int],
     n_list = [int(n) for n in n_list]
     coeffs, p, lam = prob.coeffs, prob.p, prob.lam
     note_prefix = "" if p == 2.0 else "beta is a sampled lower bound; "
-    betas_p = embedding_profile(coeffs, p, p, n_list, starts=beta_starts,
-                                seed=seed, iters=beta_iters)
-    betas_q = embedding_profile(coeffs, p, q, n_list, starts=beta_starts,
-                                seed=seed + 1, iters=beta_iters)
+    betas_p = embedding_profile(coeffs, p, p, n_list, seed=seed)
+    betas_q = embedding_profile(coeffs, p, q, n_list, seed=seed + 1)
     rows = []
     for i, n in enumerate(n_list):
         split = BasisSplit(coeffs, p, n)

@@ -128,7 +128,7 @@ class HypothesisReport:
         return self.verdict == REFUTED
 
 
-def _check_B(nl, plan, coeffs: CoefficientField) -> HypothesisReport:
+def _check_B(coeffs: CoefficientField) -> HypothesisReport:
     b = coeffs.b
     k = coeffs.window.indices
     bad = b < coeffs.b0
@@ -148,7 +148,7 @@ def _check_B(nl, plan, coeffs: CoefficientField) -> HypothesisReport:
                             detail="floor holds but growth of b at the edges is not visible")
 
 
-def _check_H1(nl, plan, coeffs) -> HypothesisReport:
+def _check_H1(nl, plan) -> HypothesisReport:
     t = plan.t_values[plan.t_values > 0.0]
     if t.size == 0:
         return HypothesisReport("H1", INCONCLUSIVE, detail="no nonzero t samples")
@@ -192,7 +192,7 @@ def _growth_bound(nl, plan, condition: str) -> HypothesisReport:
                             detail=f"grid sup of the ratio is {d_hat:.6g} with q = {q:g}")
 
 
-def _check_H3(nl, plan, coeffs) -> HypothesisReport:
+def _check_H3(nl, plan) -> HypothesisReport:
     t = plan.small_t()
     if t.size < 2:
         return HypothesisReport("H3", INCONCLUSIVE, detail="not enough small-t samples")
@@ -226,7 +226,7 @@ def _h4_profiles(nl, plan):
     return mags, prof
 
 
-def _check_H4(nl, plan, coeffs) -> HypothesisReport:
+def _check_H4(nl, plan) -> HypothesisReport:
     mags, prof = _h4_profiles(nl, plan)
     if mags.size < 3:
         return HypothesisReport("H4", INCONCLUSIVE, detail="not enough large-t samples")
@@ -246,8 +246,8 @@ def _check_H4(nl, plan, coeffs) -> HypothesisReport:
     return HypothesisReport("H4", INCONCLUSIVE, detail="growth too slow to call")
 
 
-def _check_H4p(nl, plan, coeffs) -> HypothesisReport:
-    base = _check_H4(nl, plan, coeffs)
+def _check_H4p(nl, plan) -> HypothesisReport:
+    base = _check_H4(nl, plan)
     if base.verdict == REFUTED:
         return HypothesisReport("H4p", REFUTED, witness=base.witness,
                                 detail="pointwise superlinearity already fails: " + base.detail)
@@ -282,7 +282,7 @@ def _check_H4p(nl, plan, coeffs) -> HypothesisReport:
                             detail="the ratio stays below 1 on the whole grid")
 
 
-def _check_H5(nl, plan, coeffs) -> HypothesisReport:
+def _check_H5(nl, plan) -> HypothesisReport:
     t = plan.t_values[plan.t_values != 0.0]
     if t.size > 240:  # keep the (k, t, s) tensor moderate
         t = t[np.linspace(0, t.size - 1, 240).astype(int)]
@@ -316,7 +316,7 @@ def _sup_F_per_k(nl, k: np.ndarray, T: float, points: int = 256) -> np.ndarray:
     return np.max(np.abs(nl.F(k[:, None], tgrid[None, :])), axis=1)
 
 
-def _check_H3p(nl, plan, coeffs) -> HypothesisReport:
+def _check_H3p(nl, plan) -> HypothesisReport:
     T = float(plan.summability_T)
     k = plan.k_values
     k_max = int(np.max(np.abs(k)))
@@ -352,10 +352,9 @@ def _check_H3p(nl, plan, coeffs) -> HypothesisReport:
 
 
 _CHECKS = {
-    "B": _check_B,
     "H1": _check_H1,
-    "H2": lambda nl, plan, coeffs: _growth_bound(nl, plan, "H2"),
-    "H2p": lambda nl, plan, coeffs: _growth_bound(nl, plan, "H2p"),
+    "H2": lambda nl, plan: _growth_bound(nl, plan, "H2"),
+    "H2p": lambda nl, plan: _growth_bound(nl, plan, "H2p"),
     "H3": _check_H3,
     "H4": _check_H4,
     "H4p": _check_H4p,
@@ -371,8 +370,8 @@ def check_hypothesis(nl: Nonlinearity, condition: str, plan: SamplingPlan,
     if condition == "B":
         if coeffs is None:
             raise ValueError("condition B needs a coefficient field")
-        return _check_B(nl, plan, coeffs)
-    return _CHECKS[condition](nl, plan, None)
+        return _check_B(coeffs)
+    return _CHECKS[condition](nl, plan)
 
 
 def check_all(nl: Nonlinearity, plan: SamplingPlan,

@@ -62,47 +62,41 @@ class MountainPassError(RuntimeError):
     pass
 
 
+# Fixed solver geometry.  Line search: step shrink factor and Armijo
+# sufficient-decrease factor, at most MAX_BACKTRACKS trials.  JACOBIAN_CAP
+# caps phi_p' in the Jacobian (p < 2).  Mountain pass: path points, sweep budget, first Newton handoff
+# residual and relative stagnation tolerance.  Acceptance: the tail starts at
+# TAIL_FRACTION of the half-width; TAIL_TOL bounds its mass, DRIFT_TOL the
+# move on a window CONTINUATION_GROWTH sites wider, DEDUP_TOL the sup-norm
+# distance below which two roots are one.
+LS_SHRINK = 0.5
+LS_DECREASE = 1e-4
+MAX_BACKTRACKS = 40
+JACOBIAN_CAP = 1e8
+PATH_POINTS = 64
+MAX_PATH_SWEEPS = 4000
+HANDOFF_RESIDUAL = 1e-2
+STAGNATION_TOL = 1e-9
+TAIL_FRACTION = 0.8
+TAIL_TOL = 1e-6
+DRIFT_TOL = 1e-6
+DEDUP_TOL = 1e-6
+CONTINUATION_GROWTH = 10
+# find_critical_points deflates from at most this many random starts.
+DEFLATION_POOL = 200
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     residual_tol: float = 1e-10
     max_iter: int = 100
-    ls_shrink: float = 0.5
-    ls_decrease: float = 1e-4
-    max_backtracks: int = 40
-    jacobian_cap: float = 1e8
-    deflation_exponent: Optional[float] = None  # defaults to the problem's p
-    path_points: int = 64
-    max_path_sweeps: int = 4000
-    handoff_residual: float = 1e-2
-    stagnation_tol: float = 1e-9
     seed: int = 0
-    tail_fraction: float = 0.8
-    tail_tol: float = 1e-6
-    drift_tol: float = 1e-6
-    dedup_tol: float = 1e-6
-    continuation_growth: int = 10
 
     def __post_init__(self):
-        if self.residual_tol <= 0 or self.tail_tol <= 0 or self.drift_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if not (0.0 < self.ls_shrink < 1.0):
-            raise ValueError("line-search shrink factor must lie in (0, 1)")
-        if not (0.0 < self.ls_decrease < 0.5):
-            raise ValueError("line-search decrease factor must lie in (0, 1/2)")
-        if self.max_iter < 1 or self.max_backtracks < 1:
-            raise ValueError("max_iter and max_backtracks must be at least 1")
-        if not (0.0 < self.tail_fraction < 1.0):
-            raise ValueError("tail fraction must lie in (0, 1)")
-        if not self.dedup_tol > 0:
-            raise ValueError("dedup tolerance must be positive")
-        if self.path_points < 3:
-            raise ValueError("a path needs at least 3 points")
-        if not (self.jacobian_cap > 0 and self.handoff_residual > 0 and self.stagnation_tol >= 0
-                and (self.deflation_exponent is None or self.deflation_exponent > 0)):
-            raise ValueError("jacobian_cap, handoff_residual and deflation_exponent must be "
-                             "positive, stagnation_tol nonnegative")
-        if self.max_path_sweeps < 1 or self.continuation_growth < 1:
-            raise ValueError("max_path_sweeps and continuation_growth must be at least 1")
+        if not (0.0 < self.residual_tol < math.inf):
+            raise ValueError("residual_tol must be positive and finite")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be at least 1")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
 
@@ -121,15 +115,15 @@ class SolveResult:
     extras: dict = field(default_factory=dict, compare=False)
 
 
-def _tail_threshold(window: Window, cfg: SolverConfig) -> int:
-    return int(math.floor(cfg.tail_fraction * window.half_width))
+def _tail_threshold(window: Window) -> int:
+    return int(math.floor(TAIL_FRACTION * window.half_width))
 
 
 def _finish(v: np.ndarray, prob: ProblemSpec, cfg: SolverConfig, iterations: int,
             note: str = "") -> SolveResult:
     u = LatticeSeq(prob.window, v)
     r_inf = float(np.max(np.abs(residual_many(v, prob))))
-    h = _tail_threshold(prob.window, cfg)
+    h = _tail_threshold(prob.window)
     return SolveResult(
         u=u,
         energy=energy(u, prob),
@@ -143,13 +137,13 @@ def _finish(v: np.ndarray, prob: ProblemSpec, cfg: SolverConfig, iterations: int
     )
 
 
-def _jacobian_bands(v: np.ndarray, prob: ProblemSpec, cfg: SolverConfig) -> np.ndarray:
+def _jacobian_bands(v: np.ndarray, prob: ProblemSpec) -> np.ndarray:
     """Banded (ab) form of the tridiagonal residual Jacobian."""
     n = v.size
     a, b = prob.coeffs.a, prob.coeffs.b
     d = np.diff(v, prepend=0.0, append=0.0)
-    w = phi_p_prime(prob.p, d, cap=cfg.jacobian_cap)          # length n+1
-    wp = phi_p_prime(prob.p, v, cap=cfg.jacobian_cap)
+    w = phi_p_prime(prob.p, d, cap=JACOBIAN_CAP)          # length n+1
+    wp = phi_p_prime(prob.p, v, cap=JACOBIAN_CAP)
     k = prob.window.indices
     main = a[:-1] * w[:-1] + a[1:] * w[1:] + b * wp - prob.lam * prob.nonlinearity.df_dt(k, v)
     ab = np.zeros((3, n))
@@ -164,7 +158,7 @@ def _newton_values(v0: np.ndarray, prob: ProblemSpec, cfg: SolverConfig,
     """Core damped Newton loop on raw values; returns (v, iters, note).
 
     With an (m, n) ``anchors`` array the loop runs on the deflated residual
-    M r, M = prod_i (1 + ||v - w_i||^-power).  Its merit is ||M r||^2, and
+    M r, M = prod_i (1 + ||v - w_i||^-p).  Its merit is ||M r||^2, and
     its step is the tridiagonal Newton step delta over 1 - grad(log M).delta:
     Sherman-Morrison on M J + r grad(M)^T.  Where the plain loop falls back
     to steepest descent, and at a start that sits on an anchor, the deflated
@@ -173,10 +167,9 @@ def _newton_values(v0: np.ndarray, prob: ProblemSpec, cfg: SolverConfig,
     v = np.array(v0, dtype=float)
     deflate = anchors is not None
     stop_note = "deflated iteration diverged" if deflate else "no descent direction made progress"
-    power = cfg.deflation_exponent if cfg.deflation_exponent is not None else prob.p
 
     def deflation(x):
-        return _deflation_terms(x, anchors, power) if deflate else (1.0, None)
+        return _deflation_terms(x, anchors, prob.p) if deflate else (1.0, None)
 
     r = residual_many(v, prob)
     M, dlogM = deflation(v)
@@ -189,7 +182,7 @@ def _newton_values(v0: np.ndarray, prob: ProblemSpec, cfg: SolverConfig,
             break
         it += 1
         merit = float(r @ r) * (M * M)
-        ab = _jacobian_bands(v, prob, cfg)
+        ab = _jacobian_bands(v, prob)
         delta = None
         try:
             cand = solve_banded((1, 1), ab, -r)
@@ -202,21 +195,21 @@ def _newton_values(v0: np.ndarray, prob: ProblemSpec, cfg: SolverConfig,
         stepped = False
         if delta is not None:
             alpha = 1.0
-            for _ in range(cfg.max_backtracks):
+            for _ in range(MAX_BACKTRACKS):
                 v_try = v + alpha * delta
                 r_try = residual_many(v_try, prob)
                 M_try, dlogM_try = deflation(v_try)
                 m_try = float(r_try @ r_try) * (M_try * M_try)
-                if np.isfinite(m_try) and m_try <= (1.0 - 2.0 * cfg.ls_decrease * alpha) * merit:
+                if np.isfinite(m_try) and m_try <= (1.0 - 2.0 * LS_DECREASE * alpha) * merit:
                     v, r, M, dlogM = v_try, r_try, M_try, dlogM_try
                     stepped = True
                     break
-                alpha *= cfg.ls_shrink
+                alpha *= LS_SHRINK
         if not stepped and not deflate:
             # Ill-conditioned or stalled Newton direction: steepest descent
             # on the merit function along -r.
             alpha = 1.0 / (1.0 + float(np.max(np.abs(r))))
-            for _ in range(cfg.max_backtracks):
+            for _ in range(MAX_BACKTRACKS):
                 v_try = v - alpha * r
                 r_try = residual_many(v_try, prob)
                 m_try = float(r_try @ r_try)
@@ -224,7 +217,7 @@ def _newton_values(v0: np.ndarray, prob: ProblemSpec, cfg: SolverConfig,
                     v, r = v_try, r_try
                     stepped = True
                     break
-                alpha *= cfg.ls_shrink
+                alpha *= LS_SHRINK
         if not stepped:
             note = stop_note
             break
@@ -272,14 +265,14 @@ def mountain_pass(u_low: LatticeSeq, u_high: LatticeSeq, prob: ProblemSpec,
     """Relax a discrete path between two low-energy points onto a saddle.
 
     The segment from ``u_low`` to ``u_high`` is discretized into
-    ``cfg.path_points`` configurations.  Each sweep moves the maximum-energy
+    ``PATH_POINTS`` configurations.  Each sweep moves the maximum-energy
     interior point one backtracked step along the negative residual, then
     redistributes the points along the polyline; once the maximum stagnates
     or its gradient is small the hump point is handed to ``newton_solve``
     and the polished result is accepted if it sits strictly above both
     endpoints.
     """
-    n_pts = cfg.path_points
+    n_pts = PATH_POINTS
     s = np.linspace(0.0, 1.0, n_pts)[:, None]
     path = (1.0 - s) * u_low.values[None, :] + s * u_high.values[None, :]
     e_low = float(energy_many(u_low.values, prob))
@@ -289,9 +282,9 @@ def mountain_pass(u_low: LatticeSeq, u_high: LatticeSeq, prob: ProblemSpec,
     steps_log = []
     best_max = np.inf
     stall = 0
-    handoff_residual = cfg.handoff_residual
+    handoff_residual = HANDOFF_RESIDUAL
     handoffs = 0
-    for sweep in range(cfg.max_path_sweeps):
+    for sweep in range(MAX_PATH_SWEEPS):
         energies = energy_many(path, prob)
         m = int(np.argmax(energies))
         if m == 0 or m == n_pts - 1:
@@ -301,7 +294,7 @@ def mountain_pass(u_low: LatticeSeq, u_high: LatticeSeq, prob: ProblemSpec,
         e_max = float(energies[m])
         g = residual_many(path[m], prob)
         g_inf = float(np.max(np.abs(g)))
-        if best_max - e_max < cfg.stagnation_tol * (1.0 + abs(e_max)):
+        if best_max - e_max < STAGNATION_TOL * (1.0 + abs(e_max)):
             stall += 1
         else:
             stall = 0
@@ -328,15 +321,15 @@ def mountain_pass(u_low: LatticeSeq, u_high: LatticeSeq, prob: ProblemSpec,
                                     "Newton could not certify as a pass point")
         alpha = 1.0 / (1.0 + g_inf)
         moved = False
-        for _ in range(cfg.max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             cand = path[m] - alpha * g
             e_cand = float(energy_many(cand, prob))
-            if e_cand <= e_max - cfg.ls_decrease * alpha * gsq:
+            if e_cand <= e_max - LS_DECREASE * alpha * gsq:
                 steps_log.append((sweep, e_max, e_cand))
                 path[m] = cand
                 moved = True
                 break
-            alpha *= cfg.ls_shrink
+            alpha *= LS_SHRINK
         if not moved:
             # Descent failed at machine precision: treat as stagnation.
             stall += 10
@@ -379,7 +372,7 @@ def deflated_solve(known, u0: LatticeSeq, prob: ProblemSpec,
     extras = dict(res.extras)
     extras["deflation"] = {"polish_move": float(np.max(np.abs(res.u.values - v)))}
     res = replace(res, extras=extras)
-    if res.converged and np.min(np.max(np.abs(res.u.values - anchors), axis=1)) <= cfg.dedup_tol:
+    if res.converged and np.min(np.max(np.abs(res.u.values - anchors), axis=1)) <= DEDUP_TOL:
         return replace(res, converged=False,
                        note="polished root collapsed onto a known solution")
     return res
@@ -553,8 +546,8 @@ def _enumerate(prob: ProblemSpec, cfg: SolverConfig, initial, starts, pool, acce
     ``max_rounds``.
     """
     odd = prob.nonlinearity.is_odd
-    stored = SolutionSet(tol=cfg.dedup_tol, odd=odd)
-    anchors = SolutionSet(tol=cfg.dedup_tol, odd=odd)
+    stored = SolutionSet(tol=DEDUP_TOL, odd=odd)
+    anchors = SolutionSet(tol=DEDUP_TOL, odd=odd)
     zero = _finish(np.zeros(prob.window.size), prob, cfg, 0)
     anchors.add(zero)
     solved = (newton_solve(LatticeSeq(prob.window, v), prob, cfg) for v in starts)
@@ -580,8 +573,7 @@ def _enumerate(prob: ProblemSpec, cfg: SolverConfig, initial, starts, pool, acce
 
 def find_critical_points(prob: ProblemSpec, cfg: SolverConfig, *,
                          random_starts: int = 0, amplitude: float = 2.0,
-                         max_site: int = 3, max_rounds: int = 4,
-                         deflation_starts: int = 200) -> SolutionSet:
+                         max_rounds: int = 4) -> SolutionSet:
     """Enumerate roots reachable by multistart Newton plus deflation rounds.
 
     The zero configuration is included whenever it is an exact root.  The
@@ -589,7 +581,7 @@ def find_critical_points(prob: ProblemSpec, cfg: SolverConfig, *,
     it is the raw critical-point inventory of the truncated problem.
     """
     rng = np.random.default_rng(cfg.seed)
-    starts = _candidate_starts(prob, max_site=max_site)
+    starts = _candidate_starts(prob, max_site=3)
     n_bump = len(starts)
     if random_starts > 0:
         starts.extend(rng.uniform(-amplitude, amplitude, size=(random_starts, prob.window.size)))
@@ -597,7 +589,7 @@ def find_critical_points(prob: ProblemSpec, cfg: SolverConfig, *,
     # Deflation rounds on a bounded start pool: enough to dig out roots the
     # plain multistart missed without re-running the full pool every round.
     n_random = len(starts) - n_bump
-    pick = rng.choice(n_random, size=max(0, min(deflation_starts, n_random)), replace=False)
+    pick = rng.choice(n_random, size=max(0, min(DEFLATION_POOL, n_random)), replace=False)
     pool = starts[:n_bump] + [starts[n_bump + i] for i in pick]
     return _enumerate(prob, cfg, [], starts, pool,
                       accept=lambda res: res if res.converged else None,
@@ -610,14 +602,14 @@ def _sequence_accept(res: SolveResult, prob: ProblemSpec, cfg: SolverConfig):
         return None
     if res.energy <= 1e-8:  # excludes the zero solution and numerical ghosts
         return None
-    if res.tail_mass > cfg.tail_tol:
+    if res.tail_mass > TAIL_TOL:
         return None
     K = prob.window.half_width
-    rep = window_continuation(res, prob, K + cfg.continuation_growth, cfg)
-    if rep.truncation_artifact or not rep.result.converged or rep.drift >= cfg.drift_tol:
+    rep = window_continuation(res, prob, K + CONTINUATION_GROWTH, cfg)
+    if rep.truncation_artifact or not rep.result.converged or rep.drift >= DRIFT_TOL:
         return None
     extras = dict(res.extras)
-    extras["continuation"] = {"drift": rep.drift, "half_width": K + cfg.continuation_growth,
+    extras["continuation"] = {"drift": rep.drift, "half_width": K + CONTINUATION_GROWTH,
                               "boundary_peak": rep.boundary_peak}
     return replace(res, extras=extras)
 
@@ -649,7 +641,7 @@ def solution_sequence(prob: ProblemSpec, cfg: SolverConfig, n_target: int) -> So
     """
     if n_target < 0:
         raise ValueError("n_target must be nonnegative")
-    out = SolutionSet(tol=cfg.dedup_tol, odd=prob.nonlinearity.is_odd)
+    out = SolutionSet(tol=DEDUP_TOL, odd=prob.nonlinearity.is_odd)
     if n_target == 0:
         return out
     rng = np.random.default_rng(cfg.seed)

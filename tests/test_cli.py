@@ -1,3 +1,4 @@
+import dataclasses
 import re
 from pathlib import Path
 
@@ -8,10 +9,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import dplhom.cli as cli
-from dplhom import LatticeSeq, newton_solve
+from dplhom import LatticeSeq, SolverConfig, newton_solve
 from dplhom.config import KNOWN_KEYS, ConfigError, parse_config_text
 from dplhom.records import load_json, save_json, solution_record, verify_record
 
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 LOG_POWER_LINES = [
     "problem.p = 2.0",
@@ -85,6 +87,19 @@ def test_known_keys_are_the_keys_read():
     assert read == set(KNOWN_KEYS)
 
 
+def test_solver_keys_are_the_solver_fields():
+    assert ({k for k in KNOWN_KEYS if k.startswith("solver.")}
+            == {"solver." + f.name for f in dataclasses.fields(SolverConfig)})
+
+
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.cfg")), ids=lambda p: p.name)
+def test_shipped_configs_build(path):
+    cfg = parse_config_text(path.read_text(encoding="utf-8"))
+    cfg.build_problem()
+    cfg.build_solver()
+    cfg.build_plan()
+
+
 def test_typed_accessor_errors_carry_key():
     cfg = parse_config_text("problem.p = banana\n")
     with pytest.raises(ConfigError) as err:
@@ -106,27 +121,37 @@ def test_cli_usage_error_exit_code(tmp_path):
     assert run_cli("check", str(tmp_path / "missing.cfg"), tmp_path) == cli.EXIT_USAGE
 
 
-@pytest.mark.parametrize("line", ["solver.line_search.shrink = 2.0",
+@pytest.mark.parametrize("line", ["solver.max_iter = 0",
+                                  "solver.seed = -5",
+                                  "solver.residual_tol = inf",
+                                  "solver.residual_tol = nan",
+                                  "problem.lambda = inf"])
+def test_cli_type_invariant_violation_exit_code(tmp_path, capsys, line):
+    key = line.partition(" = ")[0]
+    lines = [ln for ln in PURE_POWER_LINES if not ln.startswith(key + " ")] + [line]
+    cfg = write_config(tmp_path, lines)
+    assert run_cli("solve", cfg, tmp_path / "out") == cli.EXIT_USAGE
+    assert f"'{key}', line {len(lines)}" in capsys.readouterr().err
+
+
+# A misspelling, then solver settings that are constants in dplhom.solver.
+@pytest.mark.parametrize("line", ["solver.residul_tol = banana",
+                                  "solver.line_search.shrink = 2.0",
                                   "solver.tail_fraction = 1.5",
                                   "solver.line_search.decrease = 0.9",
-                                  "solver.max_iter = 0",
                                   "solver.deflation_exponent = -2",
                                   "solver.deflation_exponent = 0",
                                   "solver.jacobian_cap = 0",
                                   "solver.continuation_growth = 0",
-                                  "solver.seed = -5"])
-def test_cli_type_invariant_violation_exit_code(tmp_path, line):
-    cfg = write_config(tmp_path, PURE_POWER_LINES + [line])
-    assert run_cli("solve", cfg, tmp_path / "out") == cli.EXIT_USAGE
-
-
-def test_cli_misspelled_key_exit_code(tmp_path, capsys):
-    cfg = write_config(tmp_path, PURE_POWER_LINES + ["solver.residul_tol = banana",
-                                                     "solve.amplitde = 3.0"])
+                                  "solver.path_points = 64",
+                                  "solver.tail_tol = 1e-6",
+                                  "solver.drift_tol = 1e-6"])
+def test_cli_misspelled_key_exit_code(tmp_path, capsys, line):
+    cfg = write_config(tmp_path, PURE_POWER_LINES + [line, "solve.amplitde = 3.0"])
     assert run_cli("solve", cfg, tmp_path / "out") == cli.EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("config error: unknown key")
-    assert f"'solver.residul_tol', line {len(PURE_POWER_LINES) + 1}" in err
+    assert f"'{line.partition(' = ')[0]}', line {len(PURE_POWER_LINES) + 1}" in err
 
 
 @pytest.mark.parametrize("command", ["check", "solve", "sequence", "fountain", "sweep",
@@ -353,8 +378,9 @@ def test_fountain_small_table(tmp_path):
     assert len(csv_lines) == 5
 
 
-def test_fountain_bad_n_list(tmp_path):
-    cfg = write_config(tmp_path, SEQ_LINES + ["fountain.n_list = 90:95"])
+@pytest.mark.parametrize("n_list", ["90:95", "5:3"])
+def test_fountain_bad_n_list(tmp_path, n_list):
+    cfg = write_config(tmp_path, SEQ_LINES + [f"fountain.n_list = {n_list}"])
     assert run_cli("fountain", cfg, tmp_path / "out") == cli.EXIT_USAGE
 
 
