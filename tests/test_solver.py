@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -33,10 +34,24 @@ def cfg():
 
 @pytest.mark.parametrize("field, value", [
     ("residual_tol", 0.0), ("residual_tol", float("inf")), ("residual_tol", float("nan")),
-    ("max_iter", 0), ("seed", -5),
+    ("path_points", 2), ("ls_shrink", 1.5),
+    # tail_fraction >= 1 empties the tail mask, so the decay check would
+    # pass everything
+    ("tail_fraction", 1.0), ("tail_fraction", 1.5), ("tail_fraction", 0.0),
+    ("ls_decrease", 0.0), ("ls_decrease", 0.5), ("ls_decrease", 0.9),
+    ("max_backtracks", 0), ("max_iter", 0), ("dedup_tol", 0.0), ("dedup_tol", -1e-6),
+    ("jacobian_cap", 0.0), ("jacobian_cap", -1e8),
+    ("deflation_exponent", 0.0), ("deflation_exponent", -2.0),
+    ("max_path_sweeps", 0), ("handoff_residual", 0.0), ("stagnation_tol", -1e-9),
+    ("stagnation_tol", float("nan")),
+    ("continuation_growth", 0), ("seed", -5),
 ])
 def test_config_validation(field, value):
-    with pytest.raises(ValueError):
+    # Every bad value stays rejected: by __post_init__ while the knob is a
+    # field, and by the signature once it is a fixed constant, so a caller
+    # that still sets a former knob fails instead of being ignored.
+    settable = {f.name for f in dataclasses.fields(SolverConfig)}
+    with pytest.raises(ValueError if field in settable else TypeError):
         SolverConfig(**{field: value})
 
 
