@@ -24,8 +24,7 @@ from .lattice import (CoefficientField, EnergyParts, LatticeSeq, ProblemSpec,
                       forward_diff, lp_norm, phi_p, phi_p_prime, residual,
                       residual_many, sup_norm, tail_mass, weighted_norm,
                       weighted_norm_many)
-from .nonlinearity import (CustomNonlinearity, EvaluationError, LogPower,
-                           Nonlinearity, PurePower)
+from .nonlinearity import CustomNonlinearity, LogPower, Nonlinearity, PurePower
 from .solver import (ContinuationReport, MountainPassError, SolutionSet,
                      SolveResult, SolverConfig, bump_amplitude, deflated_solve,
                      find_critical_points, mountain_pass, newton_solve,

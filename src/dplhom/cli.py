@@ -11,8 +11,7 @@ Subcommands:
 
 Exit codes: 0 success, 1 partial result, 2 refutation or violation,
 3 inconclusive-only, 64 malformed configuration or usage, 70 numerical
-failure (a primitive that cannot be evaluated, a failed mountain pass or
-fountain geometry).
+failure (a failed mountain pass or fountain geometry).
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from .fountain import FountainGeometryError, fountain_table
 from .hypotheses import (CONDITIONS, PreconditionViolation, check_all,
                          check_hypothesis, inconsistency_demo)
 from .lattice import LatticeSeq
-from .nonlinearity import EvaluationError
 from .records import (save_json, save_plot_csv, save_table_csv,
                       solution_record)
 from .solver import MountainPassError, newton_solve, solution_sequence
@@ -78,7 +76,8 @@ def cmd_check(cfg: RunConfig, seed: Optional[int], outdir: Path, quiet: bool) ->
     conditions = cfg.get_list("check.conditions", default=list(CONDITIONS))
     for name in conditions:
         if name not in CONDITIONS:
-            raise ConfigError(f"unknown condition {name!r}", "check.conditions")
+            raise ConfigError(f"unknown condition {name!r}", "check.conditions",
+                              cfg.lines.get("check.conditions"))
     required = cfg.required_conditions()
     reports = check_all(prob.nonlinearity, plan, prob.coeffs, conditions)
 
@@ -168,7 +167,8 @@ def _fountain_n_list(cfg: RunConfig, size: int) -> list:
         try:
             lo, hi = int(lo_s), int(hi_s)
         except ValueError:
-            raise ConfigError(f"bad range {raw!r}", "fountain.n_list")
+            raise ConfigError(f"bad range {raw!r}", "fountain.n_list",
+                              cfg.lines.get("fountain.n_list"))
         n_list = list(range(lo, hi + 1))
     else:
         n_list = cfg.get_int_list("fountain.n_list")
@@ -184,11 +184,13 @@ def cmd_fountain(cfg: RunConfig, seed: Optional[int], outdir: Path, quiet: bool)
     n_list = _fountain_n_list(cfg, prob.window.size)
     bad = [n for n in n_list if not 1 <= n <= prob.window.size]
     if bad:
-        raise ConfigError(f"n values {bad} outside 1..{prob.window.size}", "fountain.n_list")
+        raise ConfigError(f"n values {bad} outside 1..{prob.window.size}", "fountain.n_list",
+                          cfg.lines.get("fountain.n_list"))
 
     q = cfg.get_float("fountain.q", default=prob.nonlinearity.growth_exponent() or 0.0)
     if not q > prob.p:
-        raise ConfigError(f"fountain.q must exceed p={prob.p}", "fountain.q")
+        raise ConfigError(f"fountain.q must exceed p={prob.p}", "fountain.q",
+                          cfg.lines.get("fountain.q"))
     if cfg.has("fountain.d"):
         d = cfg.get_float("fountain.d", minimum=0.0, strict=True)
     else:
@@ -308,7 +310,7 @@ def run(argv=None) -> int:
     except ValueError as exc:  # invariant violations raised by the types
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (EvaluationError, MountainPassError, FountainGeometryError) as exc:
+    except (MountainPassError, FountainGeometryError) as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -171,7 +171,9 @@ class RunConfig:
             try:
                 coeffs = CoefficientField.from_arrays(window, np.array(a_vals), np.array(b_vals))
             except ValueError as exc:
-                raise ConfigError(str(exc), "problem.coeff.a_values")
+                key = ("problem.coeff.a_values" if len(a_vals) != window.size + 1
+                       or min(a_vals) <= 0.0 else "problem.coeff.b_values")
+                raise ConfigError(str(exc), key, self._line(key))
         nl = self._build_nonlinearity(p)
         return ProblemSpec(p, lam, coeffs, nl)
 

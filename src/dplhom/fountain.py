@@ -39,7 +39,6 @@ import numpy as np
 
 from .lattice import (CoefficientField, ProblemSpec, Window, _norm_gradient,
                       energy_many, phi_p, weighted_norm_many)
-from .nonlinearity import EvaluationError
 
 __all__ = [
     "FountainGeometryError",
@@ -188,7 +187,7 @@ def embedding_constant(split: BasisSplit, q: float, starts: int = 8,
     return embedding_maximizer(split, q, starts=starts, seed=seed, iters=iters)[0]
 
 
-def _quadratic_form(coeffs: CoefficientField) -> np.ndarray:
+def _norm_matrix(coeffs: CoefficientField) -> np.ndarray:
     """Dense tridiagonal A with ||u||^2 = u^T A u (the p = 2 norm)."""
     a, b = coeffs.a, coeffs.b
     off = -a[1:-1]
@@ -229,7 +228,7 @@ def embedding_profile(coeffs: CoefficientField, p: float, q: float,
     window = coeffs.window
     out = {}
     if p == 2.0:
-        A = _quadratic_form(coeffs)
+        A = _norm_matrix(coeffs)
         for n in n_sorted:
             pos = BasisSplit(coeffs, p, n).z_sites + window.half_width
             A_Z = A[np.ix_(pos, pos)]
@@ -304,14 +303,9 @@ def superlinearity_threshold(prob: ProblemSpec, c_sup: float, h_n: int,
     result, or the raise, is that of testing every grid point in turn; and a
     drive that passes at grid index i costs at most 2i + 1 screened points
     on top of the tests.  A block may reach past the T the scan stops at.
-    Where F raises ``EvaluationError`` on a block (a quadrature primitive
-    at large t), only the block's first point is screened, so the screen
-    raises only at a grid point the per-point scan evaluates as well.
-    Wherever that scan returns a T, this one returns the same T; where it
-    raises ``EvaluationError`` on a sample of a grid point the screen drops,
-    this one may go on and find a T.  When no T passes, the error says why:
-    which of F and 2 C_n |t|^p first left float64 range, and at which grid
-    T, or else the margin still reached at ``t_hi``.
+    When no T passes, the error says why: which of F and 2 C_n |t|^p first
+    left float64 range, and at which grid T, or else the margin still
+    reached at ``t_hi``.
     """
     k = np.arange(-h_n, h_n + 1)[:, None]
 
@@ -333,13 +327,7 @@ def superlinearity_threshold(prob: ProblemSpec, c_sup: float, h_n: int,
     while hit is None and start < grid.size:
         stop = start + size
         size *= 2
-        try:
-            F, lead, margin = margins(grid[start:stop])
-        except EvaluationError:
-            # F fails somewhere in the block: screen its first point alone,
-            # which the per-point scan evaluates too, so a raise here is its raise
-            stop = start + 1
-            F, lead, margin = margins(grid[start:stop])
+        F, lead, margin = margins(grid[start:stop])
         block = grid[start:stop]
         finite = np.all(np.isfinite(margin), axis=0)
         if overflow is None and not np.all(finite):

@@ -15,9 +15,21 @@ The log-weighted power family
     f(k, t) = w(k) |t|^(p-2) t ln(1 + |t|^nu)
 
 factorizes as w(k) * g(t), so its primitive is w(k) * G(t) with a single
-one-dimensional integral G.  For nu == p the integral collapses to the
-closed form ((1 + s^p) ln(1 + s^p) - s^p) / p with s = |t|; otherwise G is
-computed by adaptive quadrature (absolute tolerance 1e-10) and memoized.
+one-dimensional integral G(s) = int_0^s x^(p-1) ln(1 + x^nu) dx, s = |t|.
+For nu == p it is the elementary ((1 + s^p) ln(1 + s^p) - s^p) / p.  For
+other nu, G = (s^p / p) B with z = s^nu and a = p / nu, where
+
+    B = ln(1 + z) - w 2F1(1, 1; a + 2; w) / (a + 1),  w = z / (1 + z),  z <= 10
+    B = ln z - 1/a + a (C(a) z^-a + sum_j (-1)^j z^-j / (j (j - a))),     z > 10
+
+The first integrates by parts and moves the 2F1(1, a + 1; a + 2; -z) of the
+remaining integral to w by Pfaff's transformation; the second expands
+ln(1 + x^-nu) for x > 1, with C(a) from digamma.  C(a) and the term j =
+round(a) each have a pole at that integer, so the two are summed into one
+expm1 term (``_tail_bracket``).  Neither form overflows before G does.
+scipy's 2F1 at -z < -1 uses a transformation that is singular at integer
+a, which lost 2% at nu one ulp from p, so neither form evaluates it there.
+nu == p keeps its elementary branch, which needs no scipy.special.
 
 The weight 1/k^mu is undefined at k = 0 and sign-ambiguous for k < 0, so
 two conventions are offered: ``one_plus_abs`` (default) uses
@@ -27,9 +39,7 @@ weight positive, even, and summable for mu > 1.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -37,7 +47,6 @@ import numpy as np
 from .lattice import phi_p, phi_p_prime
 
 __all__ = [
-    "EvaluationError",
     "Nonlinearity",
     "LogPower",
     "PurePower",
@@ -48,17 +57,11 @@ __all__ = [
 WEIGHT_CONVENTIONS = ("one_plus_abs", "abs_nonzero")
 
 _FLOAT_MAX = float(np.finfo(float).max)
-_QUAD_ABS_TOL = 1e-10
-_QUAD_LIMIT = 200
 
 
 def _scalar_or_array(out, k, t):
     """``out`` as a float when both k and t are scalars, else as it is."""
     return float(out) if np.ndim(t) == 0 and np.ndim(k) == 0 else out
-
-
-class EvaluationError(RuntimeError):
-    """Raised when a primitive cannot be evaluated to tolerance."""
 
 
 class Nonlinearity:
@@ -90,20 +93,28 @@ class Nonlinearity:
         return False
 
 
-@lru_cache(maxsize=262144)
-def _log_primitive_quad(p: float, nu: float, s: float) -> float:
-    """G(s) = int_0^s x^(p-1) ln(1 + x^nu) dx for s >= 0, by quadrature."""
-    if s == 0.0:
-        return 0.0
-    from scipy.integrate import quad  # costs a third of ``import dplhom``
+def _tail_bracket(lz: np.ndarray, a: float) -> np.ndarray:
+    """B = p G / s^p of the log-power primitive at z = e^lz > 10.
 
-    val, err = quad(lambda x: x ** (p - 1.0) * math.log1p(x ** nu), 0.0, s,
-                    epsabs=_QUAD_ABS_TOL, epsrel=1e-12, limit=_QUAD_LIMIT)
-    if err > 1e-8:
-        raise EvaluationError(
-            f"quadrature for the log-power primitive did not converge at t={s} "
-            f"(p={p}, nu={nu}, error estimate {err:.2e})")
-    return val
+    a C(a) = 1/a - beta(a + 1) + (-1)^(m+1) / m + sum_{j != m} (-1)^(j+1) /
+    (j - a), with m = round(a).  The full sum would have a pole at a = m,
+    as does series term m; the two together are (z^-a - z^-m) / (m - a),
+    kept exact by expm1 as a -> m.  Terms past j = 18 are below 1e-20.
+    """
+    from scipy.special import digamma
+
+    def beta(x):  # int_0^1 t^(x-1) / (1 + t) dt
+        return 0.5 * (digamma(0.5 * x + 0.5) - digamma(0.5 * x))
+
+    m = max(1, round(a))
+    e = abs(m - a)
+    j = np.arange(1, 19)
+    j = j[j != m]
+    series = np.exp(-np.outer(lz, j)) @ ((-1.0) ** j / (j * (j - a)))
+    merged = np.exp(-min(a, m) * lz) * (-np.expm1(-e * lz) / e if e else lz)
+    aC = (1.0 / a - beta(a + 1.0) + (-1) ** m * (beta(m + 1.0 - a) - 1.0 / m)
+          + sum((-1) ** (i + 1) / (i - a) for i in range(1, m)))
+    return lz - 1.0 / a + np.exp(-a * lz) * aC + a * ((-1) ** (m + 1) / m * merged + series)
 
 
 @dataclass(frozen=True)
@@ -147,10 +158,19 @@ class LogPower(Nonlinearity):
             # G = inf - inf = nan where it is +inf
             sp = np.minimum(s ** self.p, _FLOAT_MAX)
             return ((1.0 + sp) * np.log1p(sp) - sp) / self.p
-        flat = np.ravel(s)
-        vals = np.fromiter((_log_primitive_quad(self.p, self.nu, float(x)) for x in flat),
-                           dtype=float, count=flat.size)
-        return vals.reshape(np.shape(s))
+        from scipy.special import hyp2f1  # only this branch needs scipy.special
+
+        p, nu = self.p, self.nu
+        a = p / nu
+        s = np.minimum(s, _FLOAT_MAX)  # G(inf) = inf, through s^p alone
+        with np.errstate(over="ignore"):  # s^nu or s^p past the largest float is +inf
+            z = s ** nu
+            low = z <= 10.0
+            bracket = np.empty_like(z)
+            w = z[low] / (1.0 + z[low])
+            bracket[low] = np.log1p(z[low]) - w * hyp2f1(1.0, 1.0, a + 2.0, w) / (a + 1.0)
+            bracket[~low] = _tail_bracket(nu * np.log(s[~low]), a)
+            return s ** p / p * bracket
 
     def F(self, k, t):
         t_arr = np.asarray(t, dtype=float)
@@ -216,7 +236,7 @@ class PurePower(Nonlinearity):
 
 @dataclass(frozen=True)
 class CustomNonlinearity(Nonlinearity):
-    """User-supplied scalar f(k, t); primitive by quadrature unless given.
+    """User-supplied scalar f(k, t) and its primitive F(k, t).
 
     Meant for experiments and counterexamples; the scalar callables are
     wrapped with np.vectorize, so this family is much slower than the
@@ -225,45 +245,26 @@ class CustomNonlinearity(Nonlinearity):
 
     p: float
     f_scalar: Callable[[int, float], float]
-    F_scalar: Optional[Callable[[int, float], float]] = None
+    F_scalar: Callable[[int, float], float]
     df_scalar: Optional[Callable[[int, float], float]] = None
     odd: Optional[bool] = None
     name: str = "custom"
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.p > 1.0:
             raise ValueError(f"p must exceed 1, got {self.p}")
         for k in (-3, 0, 5):
-            v = float(self.f_scalar(k, 0.0))
-            if v != 0.0:
-                raise ValueError(f"f(k, 0) must vanish; got f({k}, 0) = {v}")
+            for name, fn in (("f", self.f_scalar), ("F", self.F_scalar)):
+                v = float(fn(k, 0.0))
+                if v != 0.0:
+                    raise ValueError(f"{name}(k, 0) must vanish; got {name}({k}, 0) = {v}")
 
     def f(self, k, t):
         fv = np.vectorize(self.f_scalar, otypes=[float])
         return _scalar_or_array(fv(k, t), k, t)
 
-    def _F_one(self, k: int, t: float) -> float:
-        if self.F_scalar is not None:
-            return float(self.F_scalar(k, t))
-        key = (int(k), float(t))
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        if t == 0.0:
-            val = 0.0
-        else:
-            from scipy.integrate import quad  # costs a third of ``import dplhom``
-
-            val, err = quad(lambda s: self.f_scalar(int(k), s), 0.0, t,
-                            epsabs=_QUAD_ABS_TOL, epsrel=1e-12, limit=_QUAD_LIMIT)
-            if err > 1e-8:
-                raise EvaluationError(f"quadrature for the primitive failed at (k={k}, t={t})")
-        self._cache[key] = val
-        return val
-
     def F(self, k, t):
-        Fv = np.vectorize(self._F_one, otypes=[float])
+        Fv = np.vectorize(self.F_scalar, otypes=[float])
         return _scalar_or_array(Fv(k, t), k, t)
 
     def df_dt(self, k, t):

@@ -279,7 +279,6 @@ def mountain_pass(u_low: LatticeSeq, u_high: LatticeSeq, prob: ProblemSpec,
     e_high = float(energy_many(u_high.values, prob))
     pass_floor = max(e_low, e_high)
 
-    steps_log = []
     best_max = np.inf
     stall = 0
     handoff_residual = HANDOFF_RESIDUAL
@@ -305,8 +304,7 @@ def mountain_pass(u_low: LatticeSeq, u_high: LatticeSeq, prob: ProblemSpec,
             if (res.converged and res.energy > pass_floor + 1e-12
                     and sup_norm(res.u) > 1e-9):
                 extras = dict(res.extras)
-                extras["mountain_pass"] = {"sweeps": sweep, "handoffs": handoffs,
-                                           "steps": tuple(steps_log)}
+                extras["mountain_pass"] = {"sweeps": sweep, "handoffs": handoffs}
                 return replace(res, extras=extras)
             if handoffs >= 8:
                 raise MountainPassError(
@@ -325,7 +323,6 @@ def mountain_pass(u_low: LatticeSeq, u_high: LatticeSeq, prob: ProblemSpec,
             cand = path[m] - alpha * g
             e_cand = float(energy_many(cand, prob))
             if e_cand <= e_max - LS_DECREASE * alpha * gsq:
-                steps_log.append((sweep, e_max, e_cand))
                 path[m] = cand
                 moved = True
                 break

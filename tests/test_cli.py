@@ -121,17 +121,28 @@ def test_cli_usage_error_exit_code(tmp_path):
     assert run_cli("check", str(tmp_path / "missing.cfg"), tmp_path) == cli.EXIT_USAGE
 
 
+# A table field on the 21-site window needs 22 a values and 21 b values.
+_TABLE = "problem.coeff.kind = table"
+_A22, _B21 = ",".join(["1"] * 22), ",".join(["1"] * 21)
+
+
+# The last line of each case is the one at fault.
 @pytest.mark.parametrize("line", ["solver.max_iter = 0",
                                   "solver.seed = -5",
                                   "solver.residual_tol = inf",
                                   "solver.residual_tol = nan",
-                                  "problem.lambda = inf"])
+                                  "problem.lambda = inf",
+                                  (_TABLE, f"problem.coeff.b_values = {_B21}",
+                                   "problem.coeff.a_values = 1,1,1"),
+                                  (_TABLE, f"problem.coeff.a_values = {_A22}",
+                                   "problem.coeff.b_values = 1,1")])
 def test_cli_type_invariant_violation_exit_code(tmp_path, capsys, line):
-    key = line.partition(" = ")[0]
-    lines = [ln for ln in PURE_POWER_LINES if not ln.startswith(key + " ")] + [line]
+    added = (line,) if isinstance(line, str) else line
+    keys = [ln.partition(" = ")[0] for ln in added]
+    lines = [ln for ln in PURE_POWER_LINES if ln.partition(" = ")[0] not in keys] + list(added)
     cfg = write_config(tmp_path, lines)
     assert run_cli("solve", cfg, tmp_path / "out") == cli.EXIT_USAGE
-    assert f"'{key}', line {len(lines)}" in capsys.readouterr().err
+    assert f"'{keys[-1]}', line {len(lines)}" in capsys.readouterr().err
 
 
 # A misspelling, then solver settings that are constants in dplhom.solver.
@@ -169,19 +180,22 @@ def test_cli_malformed_config_exit_code(tmp_path):
     assert run_cli("check", cfg, tmp_path / "out") == cli.EXIT_USAGE
 
 
-def test_cli_numerical_failure_exit_code(tmp_path, capsys):
-    # nu != p sends the log-power primitive through quadrature, which fails
-    # at t = 1000 during the audit
+def test_cli_log_power_nu_ne_p_check_and_sequence(tmp_path):
+    # nu != p takes the 2F1 primitive, which the audit evaluates up to t = 1000
     lines = [ln.replace("nu = 2.0", "nu = 3.0") for ln in LOG_POWER_LINES]
-    cfg = write_config(tmp_path, lines)
-    assert run_cli("check", cfg, tmp_path / "out") == cli.EXIT_NUMERICAL
-    err = capsys.readouterr().err
-    assert err.startswith("numerical failure: EvaluationError: ")
-    assert err.count("\n") == 1 and "Traceback" not in err
+    cfg = write_config(tmp_path, lines + ["sequence.n_target = 3"])
+    assert run_cli("check", cfg, tmp_path / "check") == cli.EXIT_OK
+    out = tmp_path / "sequence"
+    assert run_cli("sequence", cfg, out) == cli.EXIT_OK
+    records = sorted(out.glob("solution_*.json"))
+    assert len(records) == 3
+    for path in records:
+        drifts = verify_record(load_json(path))
+        assert drifts["energy"] <= 1e-12
+        assert drifts["residual_inf_norm"] <= 1e-12
 
 
-@pytest.mark.parametrize("error", [cli.EvaluationError, cli.MountainPassError,
-                                   cli.FountainGeometryError])
+@pytest.mark.parametrize("error", [cli.MountainPassError, cli.FountainGeometryError])
 def test_cli_library_errors_map_to_numerical_exit(tmp_path, monkeypatch, error):
     def fail(*args):
         raise error("cannot continue")
@@ -228,9 +242,12 @@ def test_check_inconclusive_only_exit_code(tmp_path):
     assert run_cli("check", cfg, tmp_path / "out") == cli.EXIT_INCONCLUSIVE
 
 
-def test_check_unknown_required_condition(tmp_path):
-    cfg = write_config(tmp_path, PURE_POWER_LINES + ["check.required = H7"])
+@pytest.mark.parametrize("line", ["check.required = H7", "check.conditions = H9"])
+def test_check_unknown_required_condition(tmp_path, capsys, line):
+    cfg = write_config(tmp_path, PURE_POWER_LINES + [line])
     assert run_cli("check", cfg, tmp_path / "out") == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"'{line.partition(' = ')[0]}', line {len(PURE_POWER_LINES) + 1}" in err
 
 
 # ---- demo-inconsistency ---------------------------------------------------------
@@ -302,8 +319,9 @@ def test_sequence_records_roundtrip(tmp_path):
 @given(st.sampled_from([1.5, 2.0, 3.0]), st.integers(1, 4), st.sampled_from(["log", "pure"]),
        st.data())
 def test_solution_records_roundtrip_through_verify(tmp_path_factory, p, K, drive, data):
+    nu = data.draw(st.sampled_from([p, p + 1.0]))  # the elementary and the 2F1 primitive
     drive_lines = (["problem.nonlinearity.kind = log_power", "problem.nonlinearity.mu = 2.0",
-                    f"problem.nonlinearity.nu = {p!r}"] if drive == "log" else
+                    f"problem.nonlinearity.nu = {nu!r}"] if drive == "log" else
                    ["problem.nonlinearity.kind = pure_power",
                     f"problem.nonlinearity.q = {p + 1.5!r}"])
     cfg = parse_config_text("\n".join([
@@ -378,10 +396,14 @@ def test_fountain_small_table(tmp_path):
     assert len(csv_lines) == 5
 
 
-@pytest.mark.parametrize("n_list", ["90:95", "5:3"])
-def test_fountain_bad_n_list(tmp_path, n_list):
-    cfg = write_config(tmp_path, SEQ_LINES + [f"fountain.n_list = {n_list}"])
+@pytest.mark.parametrize("line", ["fountain.n_list = 90:95", "fountain.n_list = 5:3",
+                                  "fountain.n_list = a:b", "fountain.n_list = 0,30",
+                                  "fountain.q = 1.5"])
+def test_fountain_bad_n_list(tmp_path, capsys, line):
+    cfg = write_config(tmp_path, SEQ_LINES + [line])
     assert run_cli("fountain", cfg, tmp_path / "out") == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"'{line.partition(' = ')[0]}', line {len(SEQ_LINES) + 1}" in err
 
 
 # ---- sweep -------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dplhom import (BasisSplit, CoefficientField, CustomNonlinearity,
-                    EvaluationError, FountainGeometryError, LatticeSeq,
+                    FountainGeometryError, LatticeSeq,
                     LogPower, ProblemSpec, PurePower, Window, embedding_constant, embedding_maximizer,
                     embedding_profile,
                     energy_many, fountain_table, lp_norm, sample_sphere,
@@ -318,11 +318,12 @@ _THRESHOLD_DRIVES = {
     "zero_p2": CustomNonlinearity.zero(2.0),
     "zero_p3": CustomNonlinearity.zero(3.0),
     "wavy": _wavy_drive(),
-    # F by quadrature, which fails at some large t
-    "log_power_nu3_quad": LogPower(2.0, 2.0, 3.0),
-    "log_power_p1.5_nu1_quad": LogPower(1.5, 2.0, 1.0),
-    "cubic_quad": CustomNonlinearity(2.0, lambda k, t: t ** 3 / (1.0 + abs(k)),
-                                     odd=True, name="cubic_quad"),
+    # F by the 2F1 form (nu != p)
+    "log_power_nu3": LogPower(2.0, 2.0, 3.0),
+    "log_power_p1.5_nu1": LogPower(1.5, 2.0, 1.0),
+    "cubic": CustomNonlinearity(2.0, lambda k, t: t ** 3 / (1.0 + abs(k)),
+                                F_scalar=lambda k, t: t ** 4 / (4.0 * (1.0 + abs(k))),
+                                odd=True, name="cubic"),
 }
 
 
@@ -338,35 +339,9 @@ def test_threshold_screen_matches_per_point_scan(drive, c_sup, h_n):
         with pytest.raises(FountainGeometryError) as got:
             superlinearity_threshold(prob, c_sup, h_n)
         assert str(got.value).startswith(str(exc) + ": ")
-    except EvaluationError:
-        # the plain scan failed on a sample of a T the screen may drop
-        try:
-            superlinearity_threshold(prob, c_sup, h_n)
-        except (EvaluationError, FountainGeometryError):
-            pass
     else:
         got = superlinearity_threshold(prob, c_sup, h_n)
         assert type(got) is float and got == want
-
-
-def test_threshold_screen_does_not_raise_past_the_hit():
-    """F fails above t = 1000, which the per-point scan never reaches.
-
-    The hit is grid point 31 (T = 7.56, passing on [T, 10T] since
-    2 C = 56 <= T^2); the screen block holding it runs to grid point 62,
-    T = 5.7e4, where F raises.
-    """
-    def F(k, t):
-        if abs(t) > 1e3:
-            raise EvaluationError(f"no primitive at t={t}")
-        return t ** 4
-
-    quartic = CustomNonlinearity(2.0, lambda k, t: 4.0 * t ** 3, F_scalar=F,
-                                 odd=True, name="quartic_to_1e3")
-    prob = ProblemSpec(2.0, 1.0, CoefficientField.constant(Window(3)), quartic)
-    want = per_point_threshold(prob, c_sup=28.0, h_n=1)
-    assert 7.4 < want < 7.6
-    assert superlinearity_threshold(prob, c_sup=28.0, h_n=1) == want
 
 
 def test_threshold_note_names_the_overflowing_term():

@@ -8,7 +8,10 @@ import pytest
 
 import dplhom
 from dplhom import CustomNonlinearity, LogPower, PurePower
-from oracles import trapezoid_primitive
+from oracles import gauss_legendre_log_primitive, trapezoid_primitive
+
+# (p, nu) pairs with nu != p, which take the 2F1 form of the primitive
+_NU_NE_P = [(p, nu) for p in (1.5, 2.0, 2.5, 3.0) for nu in (1.0, 1.5, 2.0, 3.0, 7.0) if nu != p]
 
 
 def test_log_power_vanishes_at_zero():
@@ -73,17 +76,51 @@ def test_pure_power_validation():
 
 def test_custom_rejects_nonvanishing_drive_at_zero():
     with pytest.raises(ValueError):
-        CustomNonlinearity(2.0, lambda k, t: t + 1.0)
+        CustomNonlinearity(2.0, lambda k, t: t + 1.0, F_scalar=lambda k, t: t * t / 2 + t)
 
 
 def test_log_power_quadrature_against_trapezoid():
-    # nu != p exercises the quadrature path; bespoke fixed-grid oracle
+    # nu != p takes the 2F1 form; bespoke fixed-grid oracle
     nl = LogPower(2.0, 2.0, 1.0)
     got = nl.F(0, 1.0)
     want = trapezoid_primitive(lambda k, s: s * np.log1p(abs(s)), 0, 1.0)
     assert got == pytest.approx(want, abs=1e-8)
     # closed form of int_0^1 s ln(1+s) ds is exactly 1/4
-    assert got == pytest.approx(0.25, abs=1e-10)
+    assert abs(got - 0.25) <= 1e-14
+
+
+@pytest.mark.parametrize("p, nu", _NU_NE_P)
+def test_log_power_2f1_against_gauss_legendre(p, nu):
+    nl = LogPower(p, 2.0, nu)
+    s = np.geomspace(1e-8, 1e6, 400)
+    want = gauss_legendre_log_primitive(s, p, nu)
+    assert np.max(np.abs(nl.F(0, s) - want) / want) <= 1e-12
+
+
+# a = p / nu next to an integer: nu = p (1 +- 1e-6), one ulp from p, one ulp from p / 2
+_NEAR_INTEGER_A = ([(p, p * (1.0 + d)) for p in (1.5, 2.0, 2.5, 3.0) for d in (-1e-6, 1e-6)]
+                   + [(p, np.nextafter(p, x)) for p in (1.5, 2.0, 3.0) for x in (0.0, 4.0)]
+                   + [(3.0, np.nextafter(1.5, 2.0)), (2.0, np.nextafter(1.0, 2.0))])
+
+
+@pytest.mark.parametrize("p, nu", _NEAR_INTEGER_A)
+def test_log_power_2f1_near_nu_equal_p(p, nu):
+    # scipy's 2F1 at -z < -1 is near-singular here: evaluated there, it lost
+    # 8e-10 at nu = p (1 - 1e-6) and 2% one ulp from p; the worst error
+    # measured over these pairs is 1.5e-15
+    s = np.geomspace(1e-8, 1e6, 2000)
+    want = gauss_legendre_log_primitive(s, p, nu)
+    assert np.max(np.abs(LogPower(p, 2.0, nu).F(0, s) - want) / want) <= 1e-12
+
+
+@pytest.mark.parametrize("p, nu", _NU_NE_P)
+def test_log_power_2f1_monotone_up_to_overflow(p, nu):
+    # past s^p = 1.8e308 the primitive is +inf, never nan
+    t = np.geomspace(1e-8, 1e160, 3000)
+    F = LogPower(p, 2.0, nu).F(0, np.concatenate([-t, t]))
+    assert not np.any(np.isnan(F))
+    assert np.all(F[3000:][1:] >= F[3000:][:-1])
+    assert np.array_equal(F[:3000], F[3000:])
 
 
 def test_log_power_closed_form_against_trapezoid():
@@ -109,7 +146,8 @@ def test_log_power_primitive_is_inf_past_overflow():
 
 def test_primitive_derivative_matches_drive(rng):
     # central differences of F against f, relative error < 1e-6
-    for nl in (LogPower(2.0, 2.0, 2.0), LogPower(3.0, 1.5, 3.0), PurePower(2.0, 4.0)):
+    for nl in (LogPower(2.0, 2.0, 2.0), LogPower(3.0, 1.5, 3.0), PurePower(2.0, 4.0),
+               LogPower(2.0, 2.0, 1.0), LogPower(1.5, 2.0, 3.0)):
         k = rng.integers(-30, 31, size=100)
         sign = rng.choice([-1.0, 1.0], size=100)
         t = sign * rng.uniform(0.1, 10.0, size=100)
@@ -118,19 +156,6 @@ def test_primitive_derivative_matches_drive(rng):
         f = nl.f(k, t)
         rel = np.abs(fd - f) / np.maximum(np.abs(f), 1e-12)
         assert np.max(rel) < 1e-6
-
-
-def test_primitive_derivative_quadrature_family(rng):
-    # with a 1e-10 quadrature tolerance the difference quotient carries
-    # noise of order tol/h, so the assertion is correspondingly looser
-    nl = LogPower(2.0, 2.0, 1.0)
-    k = rng.integers(-5, 6, size=20)
-    t = rng.uniform(0.5, 5.0, size=20)
-    h = 1e-4 * np.maximum(1.0, np.abs(t))
-    fd = (nl.F(k, t + h) - nl.F(k, t - h)) / (2.0 * h)
-    f = nl.f(k, t)
-    rel = np.abs(fd - f) / np.maximum(np.abs(f), 1e-12)
-    assert np.max(rel) < 1e-4
 
 
 def test_curly_identity(rng):
@@ -176,10 +201,14 @@ def test_df_dt_matches_finite_differences(rng):
         assert np.allclose(got, fd, rtol=1e-5, atol=1e-8)
 
 
-def test_custom_quadrature_primitive():
-    nl = CustomNonlinearity(2.0, lambda k, t: t ** 3)
-    assert nl.F(0, 2.0) == pytest.approx(4.0, abs=1e-10)
-    assert nl.curly_F(0, 2.0) == pytest.approx(8.0, abs=1e-9)
+def test_custom_requires_vanishing_primitive():
+    with pytest.raises(TypeError):
+        CustomNonlinearity(2.0, lambda k, t: t ** 3)
+    with pytest.raises(ValueError, match=r"F\(k, 0\) must vanish; got F\(-3, 0\) = 1.0"):
+        CustomNonlinearity(2.0, lambda k, t: t ** 3, F_scalar=lambda k, t: t ** 4 / 4 + 1.0)
+    nl = CustomNonlinearity(2.0, lambda k, t: t ** 3, F_scalar=lambda k, t: t ** 4 / 4)
+    assert nl.F(0, 2.0) == 4.0
+    assert nl.curly_F(0, 2.0) == 8.0
 
 
 def test_custom_odd_flag_and_zero_family():
@@ -190,11 +219,13 @@ def test_custom_odd_flag_and_zero_family():
 
 
 def test_import_leaves_quadrature_unloaded():
-    # scipy.integrate is only needed by the two quadrature primitives
+    # no primitive uses quadrature, and only LogPower with nu != p needs
+    # scipy.special
     src = str(Path(dplhom.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     out = subprocess.run(
-        [sys.executable, "-c", "import sys, dplhom; print('scipy.integrate' in sys.modules)"],
+        [sys.executable, "-c", "import sys, dplhom; "
+         "print('scipy.integrate' in sys.modules, 'scipy.special' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"

@@ -155,13 +155,14 @@ def test_mountain_pass_sign_mirrored(ref_problem, cfg):
     assert np.max(np.abs(minus.u.values + plus.u.values)) < 1e-6
 
 
-def test_mountain_pass_descent_steps_strictly_decrease(ref_problem, cfg):
+def test_mountain_pass_extras_are_counts(ref_problem, cfg):
+    # the pass keeps no per-step log, only how long the relaxation ran
     u0 = LatticeSeq.zeros(ref_problem.window)
     uh = LatticeSeq.spike(ref_problem.window, 0, 10.0)
     res = mountain_pass(u0, uh, ref_problem, cfg)
-    steps = res.extras["mountain_pass"]["steps"]
-    assert steps, "no accepted descent steps were logged"
-    assert all(after < before for _, before, after in steps)
+    info = res.extras["mountain_pass"]
+    assert set(info) == {"sweeps", "handoffs"}
+    assert info["sweeps"] >= 0 and info["handoffs"] >= 1
 
 
 def test_mountain_pass_no_drive_errors(cfg):
