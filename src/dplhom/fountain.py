@@ -335,7 +335,8 @@ def superlinearity_threshold(prob: ProblemSpec, c_sup: float, h_n: int,
             what = [name for name, bad in (("F", not np.all(np.isfinite(F[:, j]))),
                                            ("2C|t|^p", not np.isfinite(lead[j]))) if bad]
             overflow = (" and ".join(what) or "F - 2C|t|^p", float(block[j]))
-        keep = finite & np.all(margin >= -_SCREEN_RTOL * (np.abs(F) + lead), axis=0)
+        with np.errstate(over="ignore"):  # |F| + lead may pass float64 max
+            keep = finite & np.all(margin >= -_SCREEN_RTOL * (np.abs(F) + lead), axis=0)
         for j in np.flatnonzero(keep):
             if passes(float(block[j])):
                 hit = start + int(j)

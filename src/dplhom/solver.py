@@ -9,13 +9,13 @@ The workhorses:
     solution_sequence   assemble distinct solutions with increasing energy
     find_critical_points  deflation-based enumeration of all reachable roots
 
-newton_solve and deflated_solve share one damped Newton loop.  Deflation
-multiplies the residual by M(v) = prod_i (1 + ||v - w_i||^-p) over the known
-roots w_i, and their negations for an odd drive.  The Jacobian
-M J + r grad(M)^T of M r is tridiagonal plus rank one, so by Sherman-Morrison
-its Newton step is the plain tridiagonal step delta times the scalar
-1 / (1 - grad(log M).delta) (Farrell, Birkisson & Funke, SIAM J. Sci.
-Comput. 37, 2015).
+newton_solve and deflated_solve share one damped Newton loop, which stops
+where its step or its Armijo search fails.  Deflation multiplies the residual
+by M(v) = prod_i (1 + ||v - w_i||^-p) over the known roots w_i, and their
+negations for an odd drive.  The Jacobian M J + r grad(M)^T of M r is
+tridiagonal plus rank one, so by Sherman-Morrison its Newton step is the
+plain tridiagonal step delta times the scalar 1 / (1 - grad(log M).delta)
+(Farrell, Birkisson & Funke, SIAM J. Sci. Comput. 37, 2015).
 
 find_critical_points and solution_sequence run one enumeration engine,
 multistart Newton then deflation rounds, and differ only in the data they
@@ -160,9 +160,10 @@ def _newton_values(v0: np.ndarray, prob: ProblemSpec, cfg: SolverConfig,
     With an (m, n) ``anchors`` array the loop runs on the deflated residual
     M r, M = prod_i (1 + ||v - w_i||^-p).  Its merit is ||M r||^2, and
     its step is the tridiagonal Newton step delta over 1 - grad(log M).delta:
-    Sherman-Morrison on M J + r grad(M)^T.  Where the plain loop falls back
-    to steepest descent, and at a start that sits on an anchor, the deflated
-    loop stops.
+    Sherman-Morrison on M J + r grad(M)^T.  Either loop stops at the first
+    iteration whose Newton step is missing (singular, non-finite or at least
+    1e14) or whose Armijo search fails, and the deflated loop also stops at a
+    start that sits on an anchor.
     """
     v = np.array(v0, dtype=float)
     deflate = anchors is not None
@@ -202,19 +203,6 @@ def _newton_values(v0: np.ndarray, prob: ProblemSpec, cfg: SolverConfig,
                 m_try = float(r_try @ r_try) * (M_try * M_try)
                 if np.isfinite(m_try) and m_try <= (1.0 - 2.0 * LS_DECREASE * alpha) * merit:
                     v, r, M, dlogM = v_try, r_try, M_try, dlogM_try
-                    stepped = True
-                    break
-                alpha *= LS_SHRINK
-        if not stepped and not deflate:
-            # Ill-conditioned or stalled Newton direction: steepest descent
-            # on the merit function along -r.
-            alpha = 1.0 / (1.0 + float(np.max(np.abs(r))))
-            for _ in range(MAX_BACKTRACKS):
-                v_try = v - alpha * r
-                r_try = residual_many(v_try, prob)
-                m_try = float(r_try @ r_try)
-                if np.isfinite(m_try) and m_try < merit:
-                    v, r = v_try, r_try
                     stepped = True
                     break
                 alpha *= LS_SHRINK

@@ -1,8 +1,19 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import dplhom
 from dplhom import (CoefficientField, CustomNonlinearity, LogPower,
                     ProblemSpec, PurePower, SolverConfig, Window)
+
+
+def subprocess_env():
+    """os.environ with the imported dplhom's source tree first on PYTHONPATH."""
+    src = str(Path(dplhom.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
 
 
 @pytest.fixture

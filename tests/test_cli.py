@@ -1,5 +1,7 @@
 import dataclasses
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +14,7 @@ import dplhom.cli as cli
 from dplhom import LatticeSeq, SolverConfig, newton_solve
 from dplhom.config import KNOWN_KEYS, ConfigError, parse_config_text
 from dplhom.records import load_json, save_json, solution_record, verify_record
+from conftest import subprocess_env
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -205,6 +208,22 @@ def test_cli_library_errors_map_to_numerical_exit(tmp_path, monkeypatch, error):
     assert run_cli("solve", cfg, tmp_path / "out") == cli.EXIT_NUMERICAL
     assert len({cli.EXIT_OK, cli.EXIT_PARTIAL, cli.EXIT_REFUTED, cli.EXIT_INCONCLUSIVE,
                 cli.EXIT_USAGE, cli.EXIT_NUMERICAL}) == 6
+
+
+def run_module(tmp_path, command, config):
+    """``python -m dplhom.cli`` in a fresh interpreter; returns its exit code."""
+    return subprocess.run(
+        [sys.executable, "-m", "dplhom.cli", command, "--config", config,
+         "--out", str(tmp_path / "out"), "--quiet"],
+        env=subprocess_env(), capture_output=True, text=True).returncode
+
+
+def test_cli_runs_as_a_module(tmp_path):
+    bad = write_config(tmp_path, PURE_POWER_LINES + ["solve.amplitde = 3.0"])
+    assert run_module(tmp_path, "check", bad) == cli.EXIT_USAGE
+    assert not (tmp_path / "out" / "check_report.json").exists()
+    assert run_module(tmp_path, "check", str(CONFIG_DIR / "reference.cfg")) == cli.EXIT_OK
+    assert (tmp_path / "out" / "check_report.json").exists()
 
 
 # ---- check -------------------------------------------------------------------

@@ -5,7 +5,8 @@ import pytest
 
 from dplhom import (BasisSplit, CoefficientField, CustomNonlinearity,
                     FountainGeometryError, LatticeSeq,
-                    LogPower, ProblemSpec, PurePower, Window, embedding_constant, embedding_maximizer,
+                    LogPower, ProblemSpec, PurePower, SamplingPlan, Window,
+                    check_hypothesis, embedding_constant, embedding_maximizer,
                     embedding_profile,
                     energy_many, fountain_table, lp_norm, sample_sphere,
                     sup_norm_constant, superlinearity_threshold,
@@ -465,6 +466,20 @@ def test_fountain_table_reference_small():
             assert r.radius_y > r.radius_z
             assert r.y_violations == 0
             assert r.y_max_energy <= 1e-9
+
+
+def test_fountain_table_p3_threshold_screen_overflows_quietly():
+    # On the reference coefficients at p = 3, |F| + 2 C_n |t|^p in the
+    # threshold screen passes float64 max while both terms are finite; the
+    # screen must still decide without warning (warnings are errors here).
+    coeffs = CoefficientField.polynomial(Window(50), exponent=2.0)
+    prob = ProblemSpec(3.0, 1.0, coeffs, LogPower(3.0, 2.0, 3.0))
+    d = check_hypothesis(prob.nonlinearity, "H2", SamplingPlan.default()).constants["d"]
+    rows = fountain_table(prob, q=5.0, d=d, n_list=[26, 27, 36], seed=0, samples=100)
+    assert [r.n for r in rows] == [26, 27, 36]
+    for r in rows:
+        assert r.threshold is None
+        assert "became non-finite at t = " in r.note
 
 
 def test_fountain_table_no_drive_notes_error():

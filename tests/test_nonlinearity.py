@@ -1,13 +1,11 @@
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import dplhom
 from dplhom import CustomNonlinearity, LogPower, PurePower
+from conftest import subprocess_env
 from oracles import gauss_legendre_log_primitive, trapezoid_primitive
 
 # (p, nu) pairs with nu != p, which take the 2F1 form of the primitive
@@ -221,11 +219,8 @@ def test_custom_odd_flag_and_zero_family():
 def test_import_leaves_quadrature_unloaded():
     # no primitive uses quadrature, and only LogPower with nu != p needs
     # scipy.special
-    src = str(Path(dplhom.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
     out = subprocess.run(
         [sys.executable, "-c", "import sys, dplhom; "
          "print('scipy.integrate' in sys.modules, 'scipy.special' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True)
+        env=subprocess_env(), capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False False"

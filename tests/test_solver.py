@@ -127,6 +127,23 @@ def test_newton_nonconvergence_reported():
     assert res.note == "max_iter exceeded"
 
 
+def test_newton_stops_where_the_newton_step_is_missing(cfg):
+    # At p > 2 the Jacobian of a spike start is singular (phi_p'(0) = 0 and
+    # f_t(k, 0) = 0 on every zero site), so no Newton step exists: the solve
+    # takes no other step and returns the start at its first iteration.
+    prob = ProblemSpec(3.0, 1.0, CoefficientField.polynomial(Window(50), exponent=2.0),
+                       LogPower(3.0, 2.0, 3.0))
+    c = bump_amplitude(prob, 0)
+    assert c == pytest.approx(2.6724, abs=1e-4)
+    start = LatticeSeq.spike(prob.window, 0, c)
+    res = newton_solve(start, prob, cfg)
+    assert np.array_equal(res.u.values, start.values)
+    assert res.iterations == 1
+    assert not res.converged
+    assert res.note == "no descent direction made progress"
+    assert res.residual_inf_norm == pytest.approx(7.14, abs=0.01)
+
+
 def test_newton_rejects_mismatched_window(cfg):
     prob = make_pure_power_problem(K=2)
     with pytest.raises(ValueError):

@@ -2,15 +2,20 @@
 
 ``bench/tracing.py`` names its targets explicitly and refuses to install
 when one is missing, so renaming a traced function fails here, in the test
-suite, before it fails a benchmark run.
+suite, before it fails a benchmark run.  The benchmark's whole self-test
+(``bench/selftest.py``) runs here too, so a change that leaves a traced
+layer uncalled or lets a planted fault through fails the suite.
 """
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import dplhom.fountain
 
-_TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+_BENCH = Path(__file__).resolve().parents[1] / "bench"
+_TRACING = _BENCH / "tracing.py"
 
 
 def _load_tracing():
@@ -28,3 +33,9 @@ def test_tracer_installs_and_uninstalls_cleanly():
     finally:
         tracer.uninstall()
     assert dplhom.fountain.sup_norm_constant is original
+
+
+def test_benchmark_selftest_passes():
+    out = subprocess.run([sys.executable, str(_BENCH / "selftest.py")],
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stdout[-2000:] + out.stderr[-2000:]
