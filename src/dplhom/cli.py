@@ -17,12 +17,13 @@ failure (a failed mountain pass or fountain geometry).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 from typing import Optional
 
 from .config import ConfigError, RunConfig, parse_config_text
-from .fountain import FountainGeometryError, fountain_table
+from .fountain import FountainGeometryError, FountainRow, fountain_table
 from .hypotheses import (CONDITIONS, PreconditionViolation, check_all,
                          check_hypothesis, inconsistency_demo)
 from .lattice import LatticeSeq
@@ -201,19 +202,12 @@ def cmd_fountain(cfg: RunConfig, seed: Optional[int], outdir: Path, quiet: bool)
     samples = cfg.get_int("fountain.samples", default=1000, minimum=1)
 
     rows = fountain_table(prob, q, d, n_list, seed=scfg.seed, samples=samples)
-    header = ("n", "beta_p", "beta_q", "feasible", "radius_z", "energy_floor",
-              "z_min_energy", "z_violations", "c_sup", "support_radius",
-              "threshold", "radius_y", "y_max_energy", "y_violations",
-              "y_strong_count", "note")
+    header = tuple(f.name for f in dataclasses.fields(FountainRow))
     save_table_csv(outdir / "fountain_table.csv", header,
-                   [(r.n, r.beta_p, r.beta_q, r.feasible, r.radius_z, r.energy_floor,
-                     r.z_min_energy, r.z_violations, r.c_sup, r.support_radius,
-                     r.threshold, r.radius_y, r.y_max_energy, r.y_violations,
-                     r.y_strong_count, r.note) for r in rows])
+                   [dataclasses.astuple(r) for r in rows])
     save_json(outdir / "fountain_table.json", {
         "config": cfg.values, "q": q, "d": d,
-        "rows": [{h: getattr(r, h) if h != "feasible" else bool(r.feasible)
-                  for h in header} for r in rows]})
+        "rows": [dataclasses.asdict(r) for r in rows]})
 
     for r in rows:
         rz = f"{r.radius_z:.6g}" if r.radius_z is not None else "infeasible"

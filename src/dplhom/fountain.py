@@ -67,6 +67,10 @@ _T_SEARCH_MAX = 1e140
 # (vectorized and scalar kernels round differently); the threshold screen
 # drops a grid point only when its margin is negative by far more than that.
 _SCREEN_RTOL = 1e-6
+# The threshold scan starts at _T_SEARCH_MIN, and tests each T on
+# _T_SAMPLES points of [T, 10T].
+_T_SEARCH_MIN = 1e-3
+_T_SAMPLES = 64
 
 
 class FountainGeometryError(RuntimeError):
@@ -284,8 +288,7 @@ def sup_norm_constant(split: BasisSplit, lam: float) -> float:
 
 
 def superlinearity_threshold(prob: ProblemSpec, c_sup: float, h_n: int,
-                             t_lo: float = 1e-3, t_hi: float = _T_SEARCH_MAX,
-                             t_samples: int = 64) -> float:
+                             t_hi: float = _T_SEARCH_MAX) -> float:
     """Smallest sampled T with F(k, t) >= 2 C_n |t|^p on |k| <= h_n, t in [T, 10T].
 
     For drives with nonnegative curly_F the ratio F / t^p is nondecreasing,
@@ -293,7 +296,7 @@ def superlinearity_threshold(prob: ProblemSpec, c_sup: float, h_n: int,
     be bisected; for other drives the scan is a heuristic.
 
     The scan over the geometric T grid is screened.  Each grid point T is
-    also the first of the ``t_samples`` points that test T (geomspace returns
+    also the first of the ``_T_SAMPLES`` points that test T (geomspace returns
     its start exactly), so the margin F(k, T) - 2 C_n T^p is evaluated at the
     grid points themselves, in grid order and in blocks of 1, 2, 4, ...
     points.  A point is dropped when its margin is not finite, or negative
@@ -317,10 +320,10 @@ def superlinearity_threshold(prob: ProblemSpec, c_sup: float, h_n: int,
             return F, lead, F - lead
 
     def passes(T: float) -> bool:
-        margin = margins(np.geomspace(T, 10.0 * T, t_samples))[2]
+        margin = margins(np.geomspace(T, 10.0 * T, _T_SAMPLES))[2]
         return bool(np.all(np.isfinite(margin)) and np.min(margin) >= 0.0)
 
-    grid = np.geomspace(t_lo, t_hi, max(2, int(8 * math.log10(t_hi / t_lo))))
+    grid = np.geomspace(_T_SEARCH_MIN, t_hi, max(2, int(8 * math.log10(t_hi / _T_SEARCH_MIN))))
     hit = None
     overflow = None  # the first grid point with a non-finite margin
     start, size = 0, 1

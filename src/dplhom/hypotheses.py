@@ -54,6 +54,10 @@ INCONCLUSIVE = "inconclusive"
 
 _ZERO_TOL = 1e-12
 _WITNESS_TOL = 1e-9
+# inconsistency_demo: sup |F(k, .)| is sampled at _DEMO_T_POINTS points of
+# [0, T], and |f| >= 1 is checked at _DEMO_PRECHECK_POINTS points of [T1, T].
+_DEMO_T_POINTS = 512
+_DEMO_PRECHECK_POINTS = 128
 
 
 class PreconditionViolation(ValueError):
@@ -430,8 +434,7 @@ class InconsistencyDemo:
 
 
 def inconsistency_demo(nl: Nonlinearity, T: float, T1: float,
-                       K_list: Sequence[int], t_points: int = 512,
-                       precheck_points: int = 128) -> InconsistencyDemo:
+                       K_list: Sequence[int]) -> InconsistencyDemo:
     if not (T > T1 > 0.0):
         raise ValueError(f"need T > T1 > 0, got T={T}, T1={T1}")
     K_list = [int(K) for K in K_list]
@@ -441,7 +444,7 @@ def inconsistency_demo(nl: Nonlinearity, T: float, T1: float,
     k = np.arange(-k_max, k_max + 1)
 
     # Sampled precondition: |f| >= 1 on [T1, T] for every k in range.
-    tgrid = np.linspace(T1, T, precheck_points)
+    tgrid = np.linspace(T1, T, _DEMO_PRECHECK_POINTS)
     absf = np.abs(nl.f(k[:, None], tgrid[None, :]))
     if np.min(absf) < 1.0 - _ZERO_TOL:
         i, j = np.unravel_index(int(np.argmin(absf)), absf.shape)
@@ -454,7 +457,7 @@ def inconsistency_demo(nl: Nonlinearity, T: float, T1: float,
     margins = (T - T1) - alpha
     min_margin = float(np.min(margins))
 
-    g = _sup_F_per_k(nl, k, T, points=t_points)
+    g = _sup_F_per_k(nl, k, T, points=_DEMO_T_POINTS)
     absk = np.abs(k)
     sums, avgs, bounds = [], [], []
     for K in K_list:

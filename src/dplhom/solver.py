@@ -3,7 +3,7 @@
 The workhorses:
 
     newton_solve        damped Newton on the residual, tridiagonal Jacobian
-    mountain_pass       path-relaxation saddle search between two low points
+    mountain_pass       Newton from the energy maximum on a segment
     deflated_solve      Newton on the deflated residual to find new roots
     window_continuation re-solve on a wider window to vet truncation
     solution_sequence   assemble distinct solutions with increasing energy
@@ -64,19 +64,16 @@ class MountainPassError(RuntimeError):
 
 # Fixed solver geometry.  Line search: step shrink factor and Armijo
 # sufficient-decrease factor, at most MAX_BACKTRACKS trials.  JACOBIAN_CAP
-# caps phi_p' in the Jacobian (p < 2).  Mountain pass: path points, sweep budget, first Newton handoff
-# residual and relative stagnation tolerance.  Acceptance: the tail starts at
-# TAIL_FRACTION of the half-width; TAIL_TOL bounds its mass, DRIFT_TOL the
-# move on a window CONTINUATION_GROWTH sites wider, DEDUP_TOL the sup-norm
-# distance below which two roots are one.
+# caps phi_p' in the Jacobian (p < 2).  Mountain pass: PATH_POINTS points of
+# the segment are searched for the energy maximum.  Acceptance: the tail
+# starts at TAIL_FRACTION of the half-width; TAIL_TOL bounds its mass,
+# DRIFT_TOL the move on a window CONTINUATION_GROWTH sites wider, DEDUP_TOL
+# the sup-norm distance below which two roots are one.
 LS_SHRINK = 0.5
 LS_DECREASE = 1e-4
 MAX_BACKTRACKS = 40
 JACOBIAN_CAP = 1e8
 PATH_POINTS = 64
-MAX_PATH_SWEEPS = 4000
-HANDOFF_RESIDUAL = 1e-2
-STAGNATION_TOL = 1e-9
 TAIL_FRACTION = 0.8
 TAIL_TOL = 1e-6
 DRIFT_TOL = 1e-6
@@ -222,104 +219,31 @@ def newton_solve(u0: LatticeSeq, prob: ProblemSpec, cfg: SolverConfig) -> SolveR
     return _finish(v, prob, cfg, it, note)
 
 
-def _reparametrize(path: np.ndarray) -> np.ndarray:
-    """Redistribute path points uniformly by chord length (endpoints fixed).
-
-    Keeps the discrete path a connected polyline; without this the points
-    slide off into the basins on both sides of the separatrix and the
-    discrete maximum leaks below the true pass level.
-    """
-    seg = np.linalg.norm(np.diff(path, axis=0), axis=1)
-    total = float(np.sum(seg))
-    if total == 0.0:
-        return path
-    arc = np.concatenate([[0.0], np.cumsum(seg)])
-    targets = np.linspace(0.0, total, path.shape[0])
-    out = np.empty_like(path)
-    out[0], out[-1] = path[0], path[-1]
-    j = 0
-    for i in range(1, path.shape[0] - 1):
-        t = targets[i]
-        while arc[j + 1] < t and j + 2 < arc.size:
-            j += 1
-        span = arc[j + 1] - arc[j]
-        w = 0.0 if span == 0.0 else (t - arc[j]) / span
-        out[i] = (1.0 - w) * path[j] + w * path[j + 1]
-    return out
-
-
 def mountain_pass(u_low: LatticeSeq, u_high: LatticeSeq, prob: ProblemSpec,
                   cfg: SolverConfig) -> SolveResult:
-    """Relax a discrete path between two low-energy points onto a saddle.
+    """Newton from the energy maximum on the segment between two low points.
 
-    The segment from ``u_low`` to ``u_high`` is discretized into
-    ``PATH_POINTS`` configurations.  Each sweep moves the maximum-energy
-    interior point one backtracked step along the negative residual, then
-    redistributes the points along the polyline; once the maximum stagnates
-    or its gradient is small the hump point is handed to ``newton_solve``
-    and the polished result is accepted if it sits strictly above both
-    endpoints.
+    J is evaluated at ``PATH_POINTS`` evenly spaced points of the segment
+    from ``u_low`` to ``u_high``; ``newton_solve`` runs from the interior
+    maximum, and its result is returned if it converged to a nonzero point
+    strictly above both endpoints.  Otherwise, or if the maximum is an
+    endpoint, ``MountainPassError`` is raised.
     """
-    n_pts = PATH_POINTS
-    s = np.linspace(0.0, 1.0, n_pts)[:, None]
+    s = np.linspace(0.0, 1.0, PATH_POINTS)[:, None]
     path = (1.0 - s) * u_low.values[None, :] + s * u_high.values[None, :]
-    e_low = float(energy_many(u_low.values, prob))
-    e_high = float(energy_many(u_high.values, prob))
-    pass_floor = max(e_low, e_high)
-
-    best_max = np.inf
-    stall = 0
-    handoff_residual = HANDOFF_RESIDUAL
-    handoffs = 0
-    for sweep in range(MAX_PATH_SWEEPS):
-        energies = energy_many(path, prob)
-        m = int(np.argmax(energies))
-        if m == 0 or m == n_pts - 1:
-            raise MountainPassError(
-                "path maximum sits at an endpoint; no pass is bracketed "
-                "(increase the amplitude of u_high)")
-        e_max = float(energies[m])
-        g = residual_many(path[m], prob)
-        g_inf = float(np.max(np.abs(g)))
-        if best_max - e_max < STAGNATION_TOL * (1.0 + abs(e_max)):
-            stall += 1
-        else:
-            stall = 0
-        best_max = min(best_max, e_max)
-        if g_inf <= handoff_residual or stall >= 40:
-            handoffs += 1
-            res = newton_solve(LatticeSeq(prob.window, path[m]), prob, cfg)
-            if (res.converged and res.energy > pass_floor + 1e-12
-                    and sup_norm(res.u) > 1e-9):
-                extras = dict(res.extras)
-                extras["mountain_pass"] = {"sweeps": sweep, "handoffs": handoffs}
-                return replace(res, extras=extras)
-            if handoffs >= 8:
-                raise MountainPassError(
-                    "repeated Newton handoffs failed to produce a point above "
-                    "both endpoints; the pass geometry looks degenerate")
-            handoff_residual *= 0.1
-            stall = 0
-        # Backtracked descent step on the hump point.
-        gsq = float(g @ g)
-        if gsq == 0.0:
-            raise MountainPassError("zero gradient at an interior maximum that "
-                                    "Newton could not certify as a pass point")
-        alpha = 1.0 / (1.0 + g_inf)
-        moved = False
-        for _ in range(MAX_BACKTRACKS):
-            cand = path[m] - alpha * g
-            e_cand = float(energy_many(cand, prob))
-            if e_cand <= e_max - LS_DECREASE * alpha * gsq:
-                path[m] = cand
-                moved = True
-                break
-            alpha *= LS_SHRINK
-        if not moved:
-            # Descent failed at machine precision: treat as stagnation.
-            stall += 10
-        path = _reparametrize(path)
-    raise MountainPassError("path relaxation budget exhausted before a pass was found")
+    energies = energy_many(path, prob)
+    m = int(np.argmax(energies))
+    if m == 0 or m == PATH_POINTS - 1:
+        raise MountainPassError(
+            "segment maximum sits at an endpoint; no pass is bracketed "
+            "(increase the amplitude of u_high)")
+    res = newton_solve(LatticeSeq(prob.window, path[m]), prob, cfg)
+    if not (res.converged and res.energy > max(energies[0], energies[-1]) + 1e-12
+            and sup_norm(res.u) > 1e-9):
+        raise MountainPassError(
+            "Newton from the segment maximum found no nonzero critical point "
+            "above both endpoints")
+    return res
 
 
 def _deflation_terms(v: np.ndarray, anchors: np.ndarray, power: float):

@@ -172,14 +172,37 @@ def test_mountain_pass_sign_mirrored(ref_problem, cfg):
     assert np.max(np.abs(minus.u.values + plus.u.values)) < 1e-6
 
 
-def test_mountain_pass_extras_are_counts(ref_problem, cfg):
-    # the pass keeps no per-step log, only how long the relaxation ran
+def test_mountain_pass_is_one_segment_scan_and_one_newton(ref_problem, cfg, monkeypatch):
+    # the pass evaluates the segment once and runs Newton once from its
+    # maximum: no path relaxation and no per-step counts in the extras
+    calls = {"energy_many": 0, "newton_solve": 0}
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(solver, "energy_many", spy("energy_many", solver.energy_many))
+    monkeypatch.setattr(solver, "newton_solve", spy("newton_solve", solver.newton_solve))
     u0 = LatticeSeq.zeros(ref_problem.window)
     uh = LatticeSeq.spike(ref_problem.window, 0, 10.0)
     res = mountain_pass(u0, uh, ref_problem, cfg)
-    info = res.extras["mountain_pass"]
-    assert set(info) == {"sweeps", "handoffs"}
-    assert info["sweeps"] >= 0 and info["handoffs"] >= 1
+    assert res.converged
+    assert calls == {"energy_many": 1, "newton_solve": 1}
+    assert "mountain_pass" not in res.extras
+
+
+def test_mountain_pass_raises_where_newton_stops(cfg):
+    # At p > 2 the segment maximum from zero to a site-0 spike is a spike,
+    # whose Jacobian is singular: Newton stops at once and no pass is found.
+    prob = ProblemSpec(3.0, 1.0, CoefficientField.polynomial(Window(50), exponent=2.0),
+                       LogPower(3.0, 2.0, 3.0))
+    u0 = LatticeSeq.zeros(prob.window)
+    uh = LatticeSeq.spike(prob.window, 0, 10.0)
+    assert energy(uh, prob) < 0.0
+    with pytest.raises(MountainPassError, match="Newton"):
+        mountain_pass(u0, uh, prob, cfg)
 
 
 def test_mountain_pass_no_drive_errors(cfg):
