@@ -77,8 +77,7 @@ def cmd_check(cfg: RunConfig, seed: Optional[int], outdir: Path, quiet: bool) ->
     conditions = cfg.get_list("check.conditions", default=list(CONDITIONS))
     for name in conditions:
         if name not in CONDITIONS:
-            raise ConfigError(f"unknown condition {name!r}", "check.conditions",
-                              cfg.lines.get("check.conditions"))
+            raise cfg.error("check.conditions", f"unknown condition {name!r}")
     required = cfg.required_conditions()
     reports = check_all(prob.nonlinearity, plan, prob.coeffs, conditions)
 
@@ -111,8 +110,11 @@ def cmd_solve(cfg: RunConfig, seed: Optional[int], outdir: Path, quiet: bool) ->
     if start == "zeros":
         u0 = LatticeSeq.zeros(prob.window)
     else:
-        u0 = LatticeSeq.spike(prob.window,
-                              site=cfg.get_int("solve.site", default=0),
+        site = cfg.get_int("solve.site", default=0)
+        K = prob.window.half_width
+        if abs(site) > K:
+            raise cfg.error("solve.site", f"site {site} outside -{K}..{K}")
+        u0 = LatticeSeq.spike(prob.window, site=site,
                               amplitude=cfg.get_float("solve.amplitude", default=1.0))
     res = newton_solve(u0, prob, scfg)
     save_json(outdir / "solution.json", solution_record(cfg, scfg.seed, res))
@@ -126,6 +128,10 @@ def cmd_sequence(cfg: RunConfig, seed: Optional[int], outdir: Path, quiet: bool)
     prob = cfg.build_problem()
     scfg = cfg.build_solver(seed)
     n_target = cfg.get_int("sequence.n_target", default=3, minimum=0)
+    if cfg.get_str("problem.coeff.kind", default="constant") == "table":
+        # every accepted rung is re-solved on a wider window
+        raise cfg.error("problem.coeff.kind", "a table field cannot be widened for "
+                                              "the continuation check")
 
     gate = check_all(prob.nonlinearity, cfg.build_plan(), prob.coeffs,
                      ("H1", "H2", "H3", "H4", "H5"))
@@ -168,14 +174,12 @@ def _fountain_n_list(cfg: RunConfig, size: int) -> list:
         try:
             lo, hi = int(lo_s), int(hi_s)
         except ValueError:
-            raise ConfigError(f"bad range {raw!r}", "fountain.n_list",
-                              cfg.lines.get("fountain.n_list"))
+            raise cfg.error("fountain.n_list", f"bad range {raw!r}")
         n_list = list(range(lo, hi + 1))
     else:
         n_list = cfg.get_int_list("fountain.n_list")
     if not n_list:
-        raise ConfigError(f"no split index in {raw!r}", "fountain.n_list",
-                          cfg.lines.get("fountain.n_list"))
+        raise cfg.error("fountain.n_list", f"no split index in {raw!r}")
     return n_list
 
 
@@ -185,19 +189,17 @@ def cmd_fountain(cfg: RunConfig, seed: Optional[int], outdir: Path, quiet: bool)
     n_list = _fountain_n_list(cfg, prob.window.size)
     bad = [n for n in n_list if not 1 <= n <= prob.window.size]
     if bad:
-        raise ConfigError(f"n values {bad} outside 1..{prob.window.size}", "fountain.n_list",
-                          cfg.lines.get("fountain.n_list"))
+        raise cfg.error("fountain.n_list", f"n values {bad} outside 1..{prob.window.size}")
 
     q = cfg.get_float("fountain.q", default=prob.nonlinearity.growth_exponent() or 0.0)
     if not q > prob.p:
-        raise ConfigError(f"fountain.q must exceed p={prob.p}", "fountain.q",
-                          cfg.lines.get("fountain.q"))
+        raise cfg.error("fountain.q", f"fountain.q must exceed p={prob.p}")
     if cfg.has("fountain.d"):
         d = cfg.get_float("fountain.d", minimum=0.0, strict=True)
     else:
         rep = check_hypothesis(prob.nonlinearity, "H2", cfg.build_plan())
         if "d" not in rep.constants:
-            raise ConfigError("no growth constant available; set fountain.d", "fountain.d")
+            raise cfg.error("fountain.d", "no growth constant available; set fountain.d")
         d = rep.constants["d"]
     samples = cfg.get_int("fountain.samples", default=1000, minimum=1)
 
@@ -229,7 +231,11 @@ def cmd_demo_inconsistency(cfg: RunConfig, seed: Optional[int], outdir: Path,
     prob = cfg.build_problem()
     T = cfg.get_float("demo.T", minimum=0.0, strict=True)
     T1 = cfg.get_float("demo.T1", minimum=0.0, strict=True)
+    if not T > T1:
+        raise cfg.error("demo.T", f"demo.T must exceed demo.T1 = {T1}, got {T}")
     K_list = cfg.get_int_list("demo.K_list", default=["10", "100", "1000"])
+    if not K_list or min(K_list) < 1:
+        raise cfg.error("demo.K_list", f"expected positive integers, got {K_list}")
     try:
         demo = inconsistency_demo(prob.nonlinearity, T, T1, K_list)
     except PreconditionViolation as exc:
@@ -255,6 +261,8 @@ def cmd_demo_inconsistency(cfg: RunConfig, seed: Optional[int], outdir: Path,
 def cmd_sweep(cfg: RunConfig, seed: Optional[int], outdir: Path, quiet: bool) -> int:
     param = cfg.get_str("sweep.parameter", default="lambda", choices=("lambda",))
     values = cfg.get_float_list("sweep.values")
+    if not values:
+        raise cfg.error("sweep.values", "no values to sweep")
     task = cfg.get_str("sweep.task", default="fountain",
                        choices=("check", "solve", "sequence", "fountain"))
     handler = {"check": cmd_check, "solve": cmd_solve,

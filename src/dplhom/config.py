@@ -73,6 +73,10 @@ class RunConfig:
     def _line(self, key: str) -> Optional[int]:
         return self.lines.get(key)
 
+    def error(self, key: str, message: str) -> ConfigError:
+        """A ``ConfigError`` naming ``key`` and, if the file sets it, its line."""
+        return ConfigError(message, key, self._line(key))
+
     def has(self, key: str) -> bool:
         return key in self.values
 

@@ -7,7 +7,7 @@ The workhorses:
     deflated_solve      Newton on the deflated residual to find new roots
     window_continuation re-solve on a wider window to vet truncation
     solution_sequence   assemble distinct solutions with increasing energy
-    find_critical_points  deflation-based enumeration of all reachable roots
+    find_critical_points  multistart and deflation inventory of reachable roots
 
 newton_solve and deflated_solve share one damped Newton loop, which stops
 where its step or its Armijo search fails.  Deflation multiplies the residual
@@ -18,9 +18,9 @@ plain tridiagonal step delta times the scalar 1 / (1 - grad(log M).delta)
 (Farrell, Birkisson & Funke, SIAM J. Sci. Comput. 37, 2015).
 
 find_critical_points and solution_sequence run one enumeration engine,
-multistart Newton then deflation rounds, and differ only in the data they
-pass it.  Solutions are taken up to sign only for an odd drive
-(``Nonlinearity.is_odd``).
+multistart Newton then deflation rounds from the one-site bump starts, and
+differ only in the data they pass it.  Solutions are taken up to sign only
+for an odd drive (``Nonlinearity.is_odd``).
 
 Convergence is always declared on the infinity norm of the residual, never
 on step size (steps can stagnate near clamped Jacobian entries for p < 2).
@@ -79,8 +79,6 @@ TAIL_TOL = 1e-6
 DRIFT_TOL = 1e-6
 DEDUP_TOL = 1e-6
 CONTINUATION_GROWTH = 10
-# find_critical_points deflates from at most this many random starts.
-DEFLATION_POOL = 200
 
 
 @dataclass(frozen=True)
@@ -175,8 +173,9 @@ def _newton_values(v0: np.ndarray, prob: ProblemSpec, cfg: SolverConfig,
     it = 0
     if not math.isfinite(M):  # the start sits on an anchor
         return v, it, stop_note
-    while it < cfg.max_iter:
-        if M * float(np.max(np.abs(r))) <= cfg.residual_tol:
+    while not M * float(np.max(np.abs(r))) <= cfg.residual_tol:  # a NaN residual still steps
+        if it == cfg.max_iter:
+            note = "max_iter exceeded"
             break
         it += 1
         merit = float(r @ r) * (M * M)
@@ -206,8 +205,6 @@ def _newton_values(v0: np.ndarray, prob: ProblemSpec, cfg: SolverConfig,
         if not stepped:
             note = stop_note
             break
-    else:
-        note = "max_iter exceeded"
     return v, it, note
 
 
@@ -267,24 +264,16 @@ def deflated_solve(known, u0: LatticeSeq, prob: ProblemSpec,
     For an odd drive the negations of the known roots are anchors too.
 
     Runs the Newton loop of ``newton_solve`` on M r, whose step is the plain
-    tridiagonal step times 1 / (1 - grad(log M).delta).  Any root of M r
-    away from the anchors is a root of r; it is polished on the undeflated
-    residual before it is returned.  A run that stops or runs out of
-    iterations is returned as it stands with ``converged=False``, and so is
-    a polished root that collapses back onto a known anchor.
+    tridiagonal step times 1 / (1 - grad(log M).delta).  The loop converges
+    only where M ||r||_inf <= ``residual_tol`` with M > 1, so its root already
+    meets the plain residual test, which ``_finish`` re-checks; no polish on
+    the undeflated residual follows.  A run that stops or runs out of
+    iterations is returned as it stands with ``converged=False``.
     """
     anchors = _anchor_values(known, prob.nonlinearity.is_odd)
     v, it, note = _newton_values(u0.values, prob, cfg, anchors)
-    if note:
-        return replace(_finish(v, prob, cfg, it, note), converged=False)
-    res = newton_solve(LatticeSeq(prob.window, v), prob, cfg)
-    extras = dict(res.extras)
-    extras["deflation"] = {"polish_move": float(np.max(np.abs(res.u.values - v)))}
-    res = replace(res, extras=extras)
-    if res.converged and np.min(np.max(np.abs(res.u.values - anchors), axis=1)) <= DEDUP_TOL:
-        return replace(res, converged=False,
-                       note="polished root collapsed onto a known solution")
-    return res
+    res = _finish(v, prob, cfg, it, note)
+    return replace(res, converged=False) if note else res
 
 
 def _anchor_values(known, odd: bool) -> np.ndarray:
@@ -443,32 +432,34 @@ def _candidate_starts(prob: ProblemSpec, max_site: int = 3) -> list:
     return starts
 
 
-def _enumerate(prob: ProblemSpec, cfg: SolverConfig, initial, starts, pool, accept,
-               done, max_rounds: int, jitter: float, rng) -> SolutionSet:
-    """Multistart Newton over ``starts``, then deflation rounds over ``pool``.
+def _enumerate(prob: ProblemSpec, cfg: SolverConfig, initial, starts, accept, done,
+               max_rounds: int, jitter: float, extra_starts=()) -> SolutionSet:
+    """Multistart Newton over ``starts`` then ``extra_starts``; deflation rounds over ``starts``.
 
     Zero is an anchor.  Zero, each ``initial`` result and each multistart
     root is stored, and anchored, if ``accept`` returns a result for it.  A
-    round deflates from each pool start times 1 + jitter N(0, 1), anchors
-    every new converged root and stores the accepted ones.  Rounds stop once
-    ``done(stored)`` holds, after a round that stores nothing, or at
-    ``max_rounds``.
+    round deflates from each of ``starts`` times 1 + jitter N(0, 1), drawn
+    from ``np.random.default_rng(cfg.seed)``, anchors every new converged
+    root and stores the accepted ones.  Rounds stop once ``done(stored)``
+    holds, after a round that stores nothing, or at ``max_rounds``.
     """
     odd = prob.nonlinearity.is_odd
     stored = SolutionSet(tol=DEDUP_TOL, odd=odd)
     anchors = SolutionSet(tol=DEDUP_TOL, odd=odd)
     zero = _finish(np.zeros(prob.window.size), prob, cfg, 0)
     anchors.add(zero)
-    solved = (newton_solve(LatticeSeq(prob.window, v), prob, cfg) for v in starts)
+    solved = (newton_solve(LatticeSeq(prob.window, v), prob, cfg)
+              for v in itertools.chain(starts, extra_starts))
     for res in itertools.chain([zero], initial, solved):
         acc = accept(res)
         if acc is not None and stored.add(acc):
             anchors.add(acc)
+    rng = np.random.default_rng(cfg.seed)
     for _ in range(max_rounds):
         if done(stored):
             break
         added = False
-        for v in pool:
+        for v in starts:
             u0 = LatticeSeq(prob.window, v * (1.0 + jitter * rng.standard_normal(v.shape)))
             res = deflated_solve(anchors, u0, prob, cfg)
             if res.converged and anchors.add(res):
@@ -485,24 +476,19 @@ def find_critical_points(prob: ProblemSpec, cfg: SolverConfig, *,
                          max_rounds: int = 4) -> SolutionSet:
     """Enumerate roots reachable by multistart Newton plus deflation rounds.
 
-    The zero configuration is included whenever it is an exact root.  The
-    set accepts every converged root (no decay or continuation filters);
-    it is the raw critical-point inventory of the truncated problem.
+    Newton runs from the bump starts of ``_candidate_starts`` and from
+    ``random_starts`` uniform starts in [-amplitude, amplitude]; the
+    deflation rounds start from the bump starts only.  The zero
+    configuration is included whenever it is an exact root.  The set
+    accepts every converged root (no decay or continuation filters); it is
+    the raw critical-point inventory of the truncated problem.
     """
     rng = np.random.default_rng(cfg.seed)
-    starts = _candidate_starts(prob, max_site=3)
-    n_bump = len(starts)
-    if random_starts > 0:
-        starts.extend(rng.uniform(-amplitude, amplitude, size=(random_starts, prob.window.size)))
-
-    # Deflation rounds on a bounded start pool: enough to dig out roots the
-    # plain multistart missed without re-running the full pool every round.
-    n_random = len(starts) - n_bump
-    pick = rng.choice(n_random, size=max(0, min(DEFLATION_POOL, n_random)), replace=False)
-    pool = starts[:n_bump] + [starts[n_bump + i] for i in pick]
-    return _enumerate(prob, cfg, [], starts, pool,
+    extra = rng.uniform(-amplitude, amplitude, size=(random_starts, prob.window.size))
+    return _enumerate(prob, cfg, [], _candidate_starts(prob, max_site=3),
                       accept=lambda res: res if res.converged else None,
-                      done=lambda stored: False, max_rounds=max_rounds, jitter=0.0, rng=rng)
+                      done=lambda stored: False, max_rounds=max_rounds, jitter=0.0,
+                      extra_starts=extra)
 
 
 def _sequence_accept(res: SolveResult, prob: ProblemSpec, cfg: SolverConfig):
@@ -553,13 +539,11 @@ def solution_sequence(prob: ProblemSpec, cfg: SolverConfig, n_target: int) -> So
     out = SolutionSet(tol=DEDUP_TOL, odd=prob.nonlinearity.is_odd)
     if n_target == 0:
         return out
-    rng = np.random.default_rng(cfg.seed)
     mp = _first_pass_state(prob, cfg)
-    starts = _candidate_starts(prob, max_site=4)
-    pool = _enumerate(prob, cfg, [] if mp is None else [mp], starts, starts,
+    pool = _enumerate(prob, cfg, [] if mp is None else [mp], _candidate_starts(prob, max_site=4),
                       accept=lambda res: _sequence_accept(res, prob, cfg),
                       done=lambda stored: len(_strict_ladder(stored)) >= n_target,
-                      max_rounds=6, jitter=0.05, rng=rng)
+                      max_rounds=6, jitter=0.05)
     for r in _strict_ladder(pool)[:n_target]:
         out.add(r)
     if len(out) < n_target:

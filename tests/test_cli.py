@@ -176,6 +176,26 @@ def test_cli_negative_seed_exit_code(tmp_path, capsys, command):
     assert "--seed" in capsys.readouterr().err
 
 
+# Values the library would reject with a bare ValueError, and an empty sweep;
+# the last line of each case is the one at fault.
+@pytest.mark.parametrize("command, lines", [
+    ("solve", ["solve.site = 99"]),
+    ("demo-inconsistency", ["demo.T1 = 2", "demo.T = 1"]),
+    ("demo-inconsistency", ["demo.T = 2", "demo.T1 = 1", "demo.K_list = 0,5"]),
+    ("sequence", [f"problem.coeff.a_values = {_A22}", f"problem.coeff.b_values = {_B21}",
+                  _TABLE]),
+    ("sweep", ["sweep.task = check", "sweep.values ="]),
+], ids=["site", "T", "K_list", "table", "sweep"])
+def test_cli_out_of_range_value_names_its_key(tmp_path, capsys, command, lines):
+    keys = [ln.partition("=")[0].strip() for ln in lines]
+    lines = [ln for ln in PURE_POWER_LINES if ln.partition(" = ")[0] not in keys] + lines
+    cfg = write_config(tmp_path, lines)
+    assert run_cli(command, cfg, tmp_path / "out") == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert f"'{keys[-1]}', line {len(lines)}" in err
+
+
 def test_cli_malformed_config_exit_code(tmp_path):
     cfg = write_config(tmp_path, ["problem.p = 2.0", "problem.half_width = zero",
                                   "problem.nonlinearity.kind = pure_power",

@@ -127,6 +127,16 @@ def test_newton_nonconvergence_reported():
     assert res.note == "max_iter exceeded"
 
 
+def test_newton_converging_on_its_last_step_is_not_max_iter():
+    # with a zero drive the residual is linear, so one Newton step lands on
+    # the root; a solve allowed exactly that step must report it converged
+    prob = make_constant_problem(K=3)
+    res = newton_solve(LatticeSeq.spike(prob.window, 0, 1.0), prob,
+                       SolverConfig(max_iter=1, seed=0))
+    assert (res.converged, res.iterations, res.note) == (True, 1, "")
+    assert res.residual_inf_norm == 0.0
+
+
 def test_newton_stops_where_the_newton_step_is_missing(cfg):
     # At p > 2 the Jacobian of a spike start is singular (phi_p'(0) = 0 and
     # f_t(k, 0) = 0 on every zero site), so no Newton step exists: the solve
@@ -325,13 +335,21 @@ def test_anchor_rows_are_unique():
     assert _anchor_values([w, w.copy(), zero], False).shape == (2, 3)
 
 
-def test_deflation_polish_moves_little(cfg):
-    # polishing the deflated root on the plain residual is a tiny correction
+def test_converged_deflated_solve_is_not_polished(monkeypatch, cfg):
+    # the deflated run's root already meets the plain residual test, so it
+    # is returned with the deflated run's own iteration count and no extras
     prob = make_pure_power_problem(K=2)
     zero = LatticeSeq.zeros(prob.window)
-    res = deflated_solve([zero], LatticeSeq.spike(prob.window, 0, 1.0), prob, cfg)
-    assert res.converged
-    assert res.extras["deflation"]["polish_move"] < 10.0 * cfg.residual_tol
+    start = LatticeSeq.spike(prob.window, 0, 1.0)
+    anchors = _anchor_values([zero], prob.nonlinearity.is_odd)
+    v, it, note = _newton_values(start.values, prob, cfg, anchors)
+    calls = _count_newton_calls(monkeypatch)
+    res = deflated_solve([zero], start, prob, cfg)
+    assert calls == []
+    assert (res.converged, res.iterations, res.note) == (True, it, note)
+    assert it > 0 and note == ""
+    assert np.array_equal(res.u.values, v)
+    assert res.extras == {}
 
 
 # ---- continuation -------------------------------------------------------------
@@ -528,13 +546,29 @@ def test_enumerate_anchors_the_roots_it_rejects(monkeypatch):
 
     monkeypatch.setattr(solver, "deflated_solve", recorded)
     starts = solver._candidate_starts(prob)
-    stored = solver._enumerate(prob, SolverConfig(seed=0), [], starts, starts,
+    stored = solver._enumerate(prob, SolverConfig(seed=0), [], starts,
                                accept=lambda res: None, done=lambda stored: False,
-                               max_rounds=4, jitter=0.0, rng=np.random.default_rng(0))
+                               max_rounds=4, jitter=0.0)
     assert len(stored) == 0
     assert len(n_anchors) == len(starts)
     assert n_anchors[0] == 1 and n_anchors[-1] > 1
     assert n_anchors == sorted(n_anchors)
+
+
+def test_find_critical_points_deflates_from_the_bump_starts_only(monkeypatch, cfg):
+    # random starts feed the multistart only: one deflation round makes one
+    # deflated solve per bump start, however many random starts there are
+    prob = make_pure_power_problem(K=2)
+    calls = []
+    plain = solver.deflated_solve
+
+    def counted(*args):
+        calls.append(args)
+        return plain(*args)
+
+    monkeypatch.setattr(solver, "deflated_solve", counted)
+    find_critical_points(prob, cfg, random_starts=60, max_rounds=1)
+    assert len(calls) == len(solver._candidate_starts(prob, 3))
 
 
 def _asymmetric_drive():
