@@ -10,7 +10,10 @@ The workhorses:
     find_critical_points  multistart and deflation inventory of reachable roots
 
 newton_solve and deflated_solve share one damped Newton loop, which stops
-where its step or its Armijo search fails.  Deflation multiplies the residual
+where its step or its Armijo search fails.  The search tries the full step
+alone, then evaluates every shorter step length in one batched residual and
+deflation call and keeps the first that passes: the point a one-at-a-time
+search would accept, with the same bits.  Deflation multiplies the residual
 by M(v) = prod_i (1 + ||v - w_i||^-p) over the known roots w_i, and their
 negations for an odd drive.  The Jacobian M J + r grad(M)^T of M r is
 tridiagonal plus rank one, so by Sherman-Morrison its Newton step is the
@@ -63,7 +66,8 @@ class MountainPassError(RuntimeError):
 
 
 # Fixed solver geometry.  Line search: step shrink factor and Armijo
-# sufficient-decrease factor, at most MAX_BACKTRACKS trials.  JACOBIAN_CAP
+# sufficient-decrease factor, at most MAX_BACKTRACKS trials; the full step is
+# tried alone, then the other step lengths in one batch.  JACOBIAN_CAP
 # caps phi_p' in the Jacobian (p < 2).  Mountain pass: PATH_POINTS points of
 # the segment are searched for the energy maximum.  Acceptance: the tail
 # starts at TAIL_FRACTION of the half-width; TAIL_TOL bounds its mass,
@@ -79,6 +83,10 @@ TAIL_TOL = 1e-6
 DRIFT_TOL = 1e-6
 DEDUP_TOL = 1e-6
 CONTINUATION_GROWTH = 10
+
+# LS_SHRINK^j for j < MAX_BACKTRACKS, by the repeated products that a
+# one-at-a-time search forms.
+_STEP_LENGTHS = np.cumprod(np.r_[1.0, np.full(MAX_BACKTRACKS - 1, LS_SHRINK)])
 
 
 @dataclass(frozen=True)
@@ -155,7 +163,9 @@ def _newton_values(v0: np.ndarray, prob: ProblemSpec, cfg: SolverConfig,
     With an (m, n) ``anchors`` array the loop runs on the deflated residual
     M r, M = prod_i (1 + ||v - w_i||^-p).  Its merit is ||M r||^2, and
     its step is the tridiagonal Newton step delta over 1 - grad(log M).delta:
-    Sherman-Morrison on M J + r grad(M)^T.  Either loop stops at the first
+    Sherman-Morrison on M J + r grad(M)^T.  The Armijo search tries alpha = 1,
+    then every LS_SHRINK^j, 0 < j < MAX_BACKTRACKS, as one batch, and takes
+    the longest step that passes.  Either loop stops at the first
     iteration whose Newton step is missing (singular, non-finite or at least
     1e14) or whose Armijo search fails, and the deflated loop also stops at a
     start that sits on an anchor.
@@ -165,7 +175,7 @@ def _newton_values(v0: np.ndarray, prob: ProblemSpec, cfg: SolverConfig,
     stop_note = "deflated iteration diverged" if deflate else "no descent direction made progress"
 
     def deflation(x):
-        return _deflation_terms(x, anchors, prob.p) if deflate else (1.0, None)
+        return _deflation_terms(x, anchors, prob.p) if deflate else (np.ones(x.shape[:-1]), None)
 
     r = residual_many(v, prob)
     M, dlogM = deflation(v)
@@ -191,17 +201,18 @@ def _newton_values(v0: np.ndarray, prob: ProblemSpec, cfg: SolverConfig,
             delta = None
         stepped = False
         if delta is not None:
-            alpha = 1.0
-            for _ in range(MAX_BACKTRACKS):
-                v_try = v + alpha * delta
-                r_try = residual_many(v_try, prob)
-                M_try, dlogM_try = deflation(v_try)
-                m_try = float(r_try @ r_try) * (M_try * M_try)
-                if np.isfinite(m_try) and m_try <= (1.0 - 2.0 * LS_DECREASE * alpha) * merit:
-                    v, r, M, dlogM = v_try, r_try, M_try, dlogM_try
+            for alphas in (_STEP_LENGTHS[:1], _STEP_LENGTHS[1:]):
+                V_try = v + alphas[:, None] * delta
+                R_try = residual_many(V_try, prob)
+                M_try, dlogM_try = deflation(V_try)
+                m_try = np.vecdot(R_try, R_try) * (M_try * M_try)  # row j: r_j @ r_j, bit for bit
+                ok = np.isfinite(m_try) & (m_try <= (1.0 - 2.0 * LS_DECREASE * alphas) * merit)
+                if ok.any():
+                    j = int(ok.argmax())
+                    v, r, M = V_try[j], R_try[j], M_try[j]
+                    dlogM = dlogM_try[j] if deflate else None
                     stepped = True
                     break
-                alpha *= LS_SHRINK
         if not stepped:
             note = stop_note
             break
@@ -246,15 +257,17 @@ def mountain_pass(u_low: LatticeSeq, u_high: LatticeSeq, prob: ProblemSpec,
 def _deflation_terms(v: np.ndarray, anchors: np.ndarray, power: float):
     """M = prod_i (1 + ||v - w_i||^-power) over the anchor rows, and grad log M.
 
-    M is inf, with no gradient, where v sits exactly on an anchor.
+    Batched over the leading axes of ``v``; each row gets the bits a call on
+    that row alone gets.  M is inf, and its gradient NaN, where v sits
+    exactly on an anchor.
     """
-    dv = v - anchors
-    s2 = np.einsum("ij,ij->i", dv, dv)
-    if not s2.all():
-        return math.inf, None
-    t = s2 ** (-0.5 * power)
-    m = 1.0 + t
-    return float(m.prod()), (-power * t / (s2 * m)) @ dv
+    dv = v[..., None, :] - anchors
+    s2 = np.einsum("...ij,...ij->...i", dv, dv)
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0^-power on an anchor
+        t = s2 ** (-0.5 * power)
+        m = 1.0 + t
+        grad = (-power * t / (s2 * m))[..., None, :] @ dv
+    return m.prod(axis=-1), grad[..., 0, :]
 
 
 def deflated_solve(known, u0: LatticeSeq, prob: ProblemSpec,
@@ -285,7 +298,12 @@ def _anchor_values(known, odd: bool) -> np.ndarray:
     if not rows:
         raise ValueError("deflated_solve needs at least one known solution")
     W = np.array(rows, dtype=float)
-    return np.unique(np.concatenate([W, -W]) if odd else W, axis=0)
+    if odd:
+        W = np.concatenate([W, -W])
+    # Rows in lexicographic order, first column first (the order M multiplies
+    # its factors in), with each run of equal rows kept once.
+    W = W[np.lexsort(W.T[::-1])]
+    return W[np.r_[True, np.any(W[1:] != W[:-1], axis=1)]]
 
 
 @dataclass(frozen=True)

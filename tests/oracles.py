@@ -10,9 +10,11 @@ import itertools
 import math
 
 import numpy as np
+from scipy.linalg import solve_banded
 
 from dplhom.fountain import FountainGeometryError
 from dplhom.lattice import energy_many, phi_p, residual_many
+from dplhom.solver import LS_DECREASE, LS_SHRINK, MAX_BACKTRACKS, _jacobian_bands
 
 
 def direct_weighted_norm(values, a, b, p):
@@ -102,6 +104,70 @@ def dense_deflated_step(values, prob, anchors, power):
     M, grad_M = literal_deflation(values, anchors, power)
     J = dense_jacobian_fd(values, prob)
     return np.linalg.solve(M * J + np.outer(r, grad_M), -M * r)
+
+
+def sequential_newton_values(v0, prob, cfg, anchors=None):
+    """Damped Newton with a one-trial-at-a-time Armijo search; (v, iters, note).
+
+    The library's loop as it stood before its backtracking was batched: each
+    step length alpha = 1, LS_SHRINK, LS_SHRINK^2, ... is evaluated on its
+    own, with a single-point deflation factor, until one passes.  Same
+    Jacobian bands and banded solve, so a batched search that visits the same
+    points must return the same bits.
+    """
+    def deflation(x):
+        if anchors is None:
+            return 1.0, None
+        dv = x - anchors
+        s2 = np.einsum("ij,ij->i", dv, dv)
+        if not s2.all():
+            return math.inf, None
+        t = s2 ** (-0.5 * prob.p)
+        m = 1.0 + t
+        return float(m.prod()), (-prob.p * t / (s2 * m)) @ dv
+
+    v = np.array(v0, dtype=float)
+    stop_note = ("no descent direction made progress" if anchors is None
+                 else "deflated iteration diverged")
+    r = residual_many(v, prob)
+    M, dlogM = deflation(v)
+    note = ""
+    it = 0
+    if not math.isfinite(M):
+        return v, it, stop_note
+    while not M * float(np.max(np.abs(r))) <= cfg.residual_tol:
+        if it == cfg.max_iter:
+            note = "max_iter exceeded"
+            break
+        it += 1
+        merit = float(r @ r) * (M * M)
+        ab = _jacobian_bands(v, prob)
+        delta = None
+        try:
+            cand = solve_banded((1, 1), ab, -r)
+            if anchors is not None:
+                cand = cand / (1.0 - float(dlogM @ cand))
+            if np.all(np.isfinite(cand)) and float(np.max(np.abs(cand))) < 1e14:
+                delta = cand
+        except np.linalg.LinAlgError:
+            delta = None
+        stepped = False
+        if delta is not None:
+            alpha = 1.0
+            for _ in range(MAX_BACKTRACKS):
+                v_try = v + alpha * delta
+                r_try = residual_many(v_try, prob)
+                M_try, dlogM_try = deflation(v_try)
+                m_try = float(r_try @ r_try) * (M_try * M_try)
+                if np.isfinite(m_try) and m_try <= (1.0 - 2.0 * LS_DECREASE * alpha) * merit:
+                    v, r, M, dlogM = v_try, r_try, M_try, dlogM_try
+                    stepped = True
+                    break
+                alpha *= LS_SHRINK
+        if not stepped:
+            note = stop_note
+            break
+    return v, it, note
 
 
 def _batched_newton(V, prob, tol=1e-12, max_iter=60, h=1e-7):

@@ -19,7 +19,7 @@ from dplhom.solver import (_anchor_values, _deflation_terms, _newton_values,
 from conftest import (make_constant_problem, make_pure_power_problem,
                       make_reference_problem, random_problem)
 from oracles import (dense_deflated_step, literal_deflation, multistart_flow_newton,
-                     per_point_bump_amplitude, sets_match)
+                     per_point_bump_amplitude, sequential_newton_values, sets_match)
 
 
 @pytest.fixture(scope="module")
@@ -271,17 +271,82 @@ def test_deflated_direction_matches_dense_solve():
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(1, 6), st.integers(1, 5), st.floats(1.1, 4.0), st.data())
-def test_deflation_terms_match_literal_loop(n, m, power, data):
+@given(st.integers(1, 6), st.integers(1, 5), st.integers(1, 4), st.floats(1.1, 4.0), st.data())
+def test_deflation_terms_match_literal_loop(n, m, batch, power, data):
     coords = st.floats(-3.0, 3.0)
-    v = data.draw(hnp.arrays(np.float64, n, elements=coords))
+    V = data.draw(hnp.arrays(np.float64, (batch, n), elements=coords))
     anchors = data.draw(hnp.arrays(np.float64, (m, n), elements=coords))
-    assume(np.min(np.linalg.norm(anchors - v, axis=1)) > 1e-2)
-    M, grad_log = _deflation_terms(v, anchors, power)
-    M_ref, grad_ref = literal_deflation(v, anchors, power)
-    assert M == pytest.approx(M_ref, rel=1e-12)
-    np.testing.assert_allclose(M * grad_log, grad_ref, rtol=1e-9,
-                               atol=1e-12 * np.max(np.abs(grad_ref)))
+    assume(np.min(np.linalg.norm(anchors - V[:, None, :], axis=2)) > 1e-2)
+    M_batch, grad_batch = _deflation_terms(V, anchors, power)
+    assert M_batch.shape == (batch,) and grad_batch.shape == (batch, n)
+    for v, M_row, grad_row in zip(V, M_batch, grad_batch):
+        M, grad_log = _deflation_terms(v, anchors, power)
+        # a batch row carries the bits of the single-point call
+        assert M_row == M
+        assert np.array_equal(grad_row, grad_log)
+        M_ref, grad_ref = literal_deflation(v, anchors, power)
+        assert M == pytest.approx(M_ref, rel=1e-12)
+        np.testing.assert_allclose(M * grad_log, grad_ref, rtol=1e-9,
+                                   atol=1e-12 * np.max(np.abs(grad_ref)))
+
+
+def test_deflation_terms_on_an_anchor_leave_other_rows_alone():
+    anchors = np.array([[0.5, -1.0], [0.0, 0.0]])
+    V = np.array([[1.0, 2.0], [0.5, -1.0], [-0.25, 0.75]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        M, grad = _deflation_terms(V, anchors, 2.0)
+    assert M[1] == np.inf and np.all(np.isnan(grad[1]))
+    for j in (0, 2):
+        M_j, grad_j = _deflation_terms(V[j], anchors, 2.0)
+        assert np.isfinite(M_j) and M[j] == M_j
+        assert np.array_equal(grad[j], grad_j)
+
+
+_GRID = st.integers(-12, 12).map(lambda k: k / 4.0)  # distances are 0 or >= 1/4
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.sampled_from([2.0, 3.0]),
+       st.integers(0, 4), st.data())
+def test_newton_values_match_sequential_search(seed, K, p, n_anchors, data):
+    # The batched Armijo search visits the step lengths of the one-at-a-time
+    # search in the same order and keeps the first that passes, so values,
+    # iteration count and stop note are the oracle's bit for bit.
+    prob = random_problem(np.random.default_rng(seed), K=K, p=p)
+    n = prob.window.size
+    v0 = data.draw(hnp.arrays(np.float64, n, elements=_GRID))
+    anchors = (data.draw(hnp.arrays(np.float64, (n_anchors, n), elements=_GRID))
+               if n_anchors else None)
+    cfg = SolverConfig(max_iter=30)
+    v, it, note = _newton_values(v0, prob, cfg, anchors)
+    v_ref, it_ref, note_ref = sequential_newton_values(v0, prob, cfg, anchors)
+    assert np.array_equal(v, v_ref)
+    assert (it, note) == (it_ref, note_ref)
+
+
+def test_line_search_makes_at_most_two_residual_calls(monkeypatch):
+    # From this start the first Newton step is accepted at alpha = 1/64: a
+    # one-at-a-time search evaluates 7 trial points, the batched search
+    # evaluates the full step, then the other 39 step lengths in one call.
+    prob = make_pure_power_problem(K=1)
+    v0 = np.array([-0.8, -0.9, 1.5])
+    calls = []
+    plain = solver.residual_many
+
+    def counted(V, prob):
+        calls.append(np.shape(V))
+        return plain(V, prob)
+
+    monkeypatch.setattr(solver, "residual_many", counted)
+    cfg = SolverConfig(max_iter=1)
+    v, it, note = _newton_values(v0, prob, cfg)
+    assert (it, note) == (1, "max_iter exceeded")
+    assert calls[0] == (3,)  # the start
+    assert calls[1:] == [(1, 3), (solver.MAX_BACKTRACKS - 1, 3)]
+    monkeypatch.undo()
+    v_ref, _, _ = sequential_newton_values(v0, prob, cfg)
+    assert np.array_equal(v, v_ref)
 
 
 def _count_newton_calls(monkeypatch):
@@ -333,6 +398,20 @@ def test_anchor_rows_are_unique():
     # without an odd drive a root's negation is no anchor
     assert _anchor_values(sols, False).shape == (2, 3)
     assert _anchor_values([w, w.copy(), zero], False).shape == (2, 3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 4)),
+                  elements=st.sampled_from([-1.5, -0.0, 0.0, 0.25, 1.5])),
+       st.booleans())
+def test_anchor_values_match_np_unique(W, odd):
+    # Few distinct entries, so rows repeat, rows meet their negations, and
+    # rows of signed zeros equal their own negation.  The row order is
+    # np.unique's: it sets the order of M's product, so its last bits.
+    expected = np.unique(np.concatenate([W, -W]) if odd else W, axis=0)
+    got = _anchor_values(list(W), odd)
+    assert got.shape == expected.shape
+    assert np.array_equal(got, expected)
 
 
 def test_converged_deflated_solve_is_not_polished(monkeypatch, cfg):
