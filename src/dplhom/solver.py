@@ -18,7 +18,9 @@ by M(v) = prod_i (1 + ||v - w_i||^-p) over the known roots w_i, and their
 negations for an odd drive.  The Jacobian M J + r grad(M)^T of M r is
 tridiagonal plus rank one, so by Sherman-Morrison its Newton step is the
 plain tridiagonal step delta times the scalar 1 / (1 - grad(log M).delta)
-(Farrell, Birkisson & Funke, SIAM J. Sci. Comput. 37, 2015).
+(Farrell, Birkisson & Funke, SIAM J. Sci. Comput. 37, 2015).  The
+tridiagonal step is one direct LAPACK dgtsv call; scipy.linalg loads at the
+first solve, so importing this module needs numpy only.
 
 find_critical_points and solution_sequence run one enumeration engine,
 multistart Newton then deflation rounds from the one-site bump starts, and
@@ -39,7 +41,6 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .lattice import (LatticeSeq, ProblemSpec, Window, cerami_metric, energy,
                       energy_many, phi_p, phi_p_prime, residual_many, sup_norm,
@@ -170,6 +171,8 @@ def _newton_values(v0: np.ndarray, prob: ProblemSpec, cfg: SolverConfig,
     1e14) or whose Armijo search fails, and the deflated loop also stops at a
     start that sits on an anchor.
     """
+    from scipy.linalg.lapack import dgtsv  # scipy loads at the first solve, not at import
+
     v = np.array(v0, dtype=float)
     deflate = anchors is not None
     stop_note = "deflated iteration diverged" if deflate else "no descent direction made progress"
@@ -190,15 +193,14 @@ def _newton_values(v0: np.ndarray, prob: ProblemSpec, cfg: SolverConfig,
         it += 1
         merit = float(r @ r) * (M * M)
         ab = _jacobian_bands(v, prob)
+        # LAPACK's tridiagonal solve, as solve_banded((1, 1), ab, -r) calls it
+        _, _, _, cand, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], -r)
         delta = None
-        try:
-            cand = solve_banded((1, 1), ab, -r)
+        if info == 0:  # info > 0: a zero pivot, the Jacobian is singular
             if deflate:
                 cand = cand / (1.0 - float(dlogM @ cand))
             if np.all(np.isfinite(cand)) and float(np.max(np.abs(cand))) < 1e14:
                 delta = cand
-        except np.linalg.LinAlgError:
-            delta = None
         stepped = False
         if delta is not None:
             for alphas in (_STEP_LENGTHS[:1], _STEP_LENGTHS[1:]):

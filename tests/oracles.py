@@ -112,8 +112,10 @@ def sequential_newton_values(v0, prob, cfg, anchors=None):
     The library's loop as it stood before its backtracking was batched: each
     step length alpha = 1, LS_SHRINK, LS_SHRINK^2, ... is evaluated on its
     own, with a single-point deflation factor, until one passes.  Same
-    Jacobian bands and banded solve, so a batched search that visits the same
-    points must return the same bits.
+    Jacobian bands; the step keeps scipy's ``solve_banded``, which calls the
+    LAPACK ``dgtsv`` that the library calls directly and raises
+    ``LinAlgError`` where dgtsv reports a zero pivot.  So a batched search
+    that visits the same points must return the same bits.
     """
     def deflation(x):
         if anchors is None:

@@ -246,6 +246,17 @@ def test_cli_runs_as_a_module(tmp_path):
     assert (tmp_path / "out" / "check_report.json").exists()
 
 
+def test_cli_solve_with_a_non_finite_residual_exits_partial(tmp_path):
+    # a 1e120 spike overflows the quartic drive: the solve stops unconverged
+    # (exit 1); it is not a configuration error (exit 64)
+    text = (CONFIG_DIR / "pure_power.cfg").read_text(encoding="utf-8")
+    cfg = write_config(tmp_path, [text, "solve.amplitude = 1e120"])
+    assert run_module(tmp_path, "solve", cfg) == cli.EXIT_PARTIAL
+    record = load_json(tmp_path / "out" / "solution.json")
+    assert record["scalars"]["converged"] is False
+    assert record["scalars"]["iterations"] == 1
+
+
 # ---- check -------------------------------------------------------------------
 
 def test_check_log_power_main_conditions(tmp_path):

@@ -218,9 +218,23 @@ def test_custom_odd_flag_and_zero_family():
 
 def test_import_leaves_quadrature_unloaded():
     # no primitive uses quadrature, and only LogPower with nu != p needs
-    # scipy.special
-    out = subprocess.run(
-        [sys.executable, "-c", "import sys, dplhom; "
-         "print('scipy.integrate' in sys.modules, 'scipy.special' in sys.modules)"],
-        env=subprocess_env(), capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False False"
+    # scipy.special.  The hypothesis audit and the fountain at p = 2 need no
+    # scipy at all; scipy.linalg loads at the first Newton solve.
+    script = """
+import sys
+import dplhom
+from dplhom import (CoefficientField, LatticeSeq, LogPower, ProblemSpec,
+                   SamplingPlan, SolverConfig, Window)
+print('scipy.integrate' in sys.modules, 'scipy.special' in sys.modules)
+print('scipy' in sys.modules)
+prob = ProblemSpec(2.0, 1.0, CoefficientField.polynomial(Window(50), exponent=2.0),
+                   LogPower(2.0, 2.0, 2.0))
+dplhom.check_all(prob.nonlinearity, SamplingPlan.default(), prob.coeffs)
+dplhom.fountain_table(prob, q=4.0, d=0.11, n_list=[1, 2, 3])
+print('scipy' in sys.modules)
+dplhom.newton_solve(LatticeSeq.spike(prob.window, 0, 3.0), prob, SolverConfig())
+print('scipy.linalg' in sys.modules)
+"""
+    out = subprocess.run([sys.executable, "-c", script],
+                         env=subprocess_env(), capture_output=True, text=True, check=True)
+    assert out.stdout.split("\n") == ["False False", "False", "False", "True", ""]

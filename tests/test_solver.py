@@ -3,9 +3,10 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.linalg.lapack import dgtsv
 
 import dplhom.solver as solver
 from dplhom import (CoefficientField, CustomNonlinearity, LatticeSeq, LogPower,
@@ -14,8 +15,8 @@ from dplhom import (CoefficientField, CustomNonlinearity, LatticeSeq, LogPower,
                     energy, energy_parts, find_critical_points, mountain_pass,
                     newton_solve, residual, residual_many, solution_sequence,
                     sup_norm, weighted_norm, window_continuation)
-from dplhom.solver import (_anchor_values, _deflation_terms, _newton_values,
-                           _strict_ladder)
+from dplhom.solver import (_anchor_values, _deflation_terms, _jacobian_bands,
+                           _newton_values, _strict_ladder)
 from conftest import (make_constant_problem, make_pure_power_problem,
                       make_reference_problem, random_problem)
 from oracles import (dense_deflated_step, literal_deflation, multistart_flow_newton,
@@ -152,6 +153,19 @@ def test_newton_stops_where_the_newton_step_is_missing(cfg):
     assert not res.converged
     assert res.note == "no descent direction made progress"
     assert res.residual_inf_norm == pytest.approx(7.14, abs=0.01)
+
+
+def test_newton_stops_on_a_non_finite_residual(cfg):
+    # The quartic drive overflows at a 1e120 spike, so the residual is
+    # non-finite.  The loop still steps; the Newton step it forms is not
+    # finite, so the solve stops there instead of raising.
+    prob = make_pure_power_problem(K=2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = newton_solve(LatticeSeq.spike(prob.window, 0, 1e120), prob, cfg)
+    assert res.iterations == 1
+    assert not res.converged
+    assert res.note == "no descent direction made progress"
+    assert res.residual_inf_norm == np.inf
 
 
 def test_newton_rejects_mismatched_window(cfg):
@@ -304,25 +318,53 @@ def test_deflation_terms_on_an_anchor_leave_other_rows_alone():
 
 
 _GRID = st.integers(-12, 12).map(lambda k: k / 4.0)  # distances are 0 or >= 1/4
+_WIDTH = 7  # window size at K = 3; a case takes the first n sites
+
+
+def _search_case(seed, K, p, v0, n_anchors, anchors):
+    prob = random_problem(np.random.default_rng(seed), K=K, p=p)
+    n = prob.window.size
+    return prob, v0[:n], (anchors[:n_anchors, :n] if n_anchors else None)
+
+
+# dgtsv's two special cases, on the first Jacobian of the run.  At p = 3 on
+# (0, 0, 1) row 0 of the Jacobian is zero: a zero pivot, no Newton step.  On
+# the seed-2 problem |main| < |sub| in row 0, so dgtsv swaps rows 0 and 1.
+_ZERO_PIVOT = dict(seed=0, K=1, p=3.0, v0=np.r_[0.0, 0.0, 1.0, np.zeros(4)],
+                   n_anchors=0, anchors=np.zeros((4, _WIDTH)))
+_ROW_SWAP = dict(seed=2, K=1, p=2.0, v0=np.r_[-1.75, -1.0, np.zeros(5)],
+                 n_anchors=1, anchors=np.full((4, _WIDTH), 0.5))
 
 
 @settings(max_examples=120, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.sampled_from([2.0, 3.0]),
-       st.integers(0, 4), st.data())
-def test_newton_values_match_sequential_search(seed, K, p, n_anchors, data):
+       hnp.arrays(np.float64, _WIDTH, elements=_GRID), st.integers(0, 4),
+       hnp.arrays(np.float64, (4, _WIDTH), elements=_GRID))
+@example(**_ZERO_PIVOT)
+@example(**_ROW_SWAP)
+def test_newton_values_match_sequential_search(seed, K, p, v0, n_anchors, anchors):
     # The batched Armijo search visits the step lengths of the one-at-a-time
-    # search in the same order and keeps the first that passes, so values,
-    # iteration count and stop note are the oracle's bit for bit.
-    prob = random_problem(np.random.default_rng(seed), K=K, p=p)
-    n = prob.window.size
-    v0 = data.draw(hnp.arrays(np.float64, n, elements=_GRID))
-    anchors = (data.draw(hnp.arrays(np.float64, (n_anchors, n), elements=_GRID))
-               if n_anchors else None)
+    # search in the same order and keeps the first that passes, and its
+    # direct dgtsv call is the one solve_banded makes, so values, iteration
+    # count and stop note are the oracle's bit for bit.
+    prob, v0, anchors = _search_case(seed, K, p, v0, n_anchors, anchors)
     cfg = SolverConfig(max_iter=30)
     v, it, note = _newton_values(v0, prob, cfg, anchors)
     v_ref, it_ref, note_ref = sequential_newton_values(v0, prob, cfg, anchors)
     assert np.array_equal(v, v_ref)
     assert (it, note) == (it_ref, note_ref)
+
+
+def test_search_examples_meet_a_zero_pivot_and_a_row_swap():
+    prob, v0, _ = _search_case(**_ZERO_PIVOT)
+    ab = _jacobian_bands(v0, prob)
+    assert dgtsv(ab[2, :-1], ab[1], ab[0, 1:], -residual_many(v0, prob))[4] == 1
+    assert _newton_values(v0, prob, SolverConfig())[1:] == (
+        1, "no descent direction made progress")
+    prob, v0, anchors = _search_case(**_ROW_SWAP)
+    ab = _jacobian_bands(v0, prob)
+    assert abs(ab[1, 0]) < abs(ab[2, 0])
+    assert _newton_values(v0, prob, SolverConfig(), anchors)[1] >= 1
 
 
 def test_line_search_makes_at_most_two_residual_calls(monkeypatch):
