@@ -22,6 +22,8 @@ import sys
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
+
 from .config import ConfigError, RunConfig, parse_config_text
 from .fountain import FountainGeometryError, FountainRow, fountain_table
 from .hypotheses import (CONDITIONS, PreconditionViolation, check_all,
@@ -116,7 +118,9 @@ def cmd_solve(cfg: RunConfig, seed: Optional[int], outdir: Path, quiet: bool) ->
             raise cfg.error("solve.site", f"site {site} outside -{K}..{K}")
         u0 = LatticeSeq.spike(prob.window, site=site,
                               amplitude=cfg.get_float("solve.amplitude", default=1.0))
-    res = newton_solve(u0, prob, scfg)
+    # an overflowing start is reported by the result's note and exit code 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = newton_solve(u0, prob, scfg)
     save_json(outdir / "solution.json", solution_record(cfg, scfg.seed, res))
     save_plot_csv(outdir / "solution.csv", prob.window, res.u.values)
     _say(quiet, f"converged={res.converged} energy={res.energy:.12g} "

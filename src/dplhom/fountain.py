@@ -311,6 +311,7 @@ def superlinearity_threshold(prob: ProblemSpec, c_sup: float, h_n: int,
     reached at ``t_hi``.
     """
     k = np.arange(-h_n, h_n + 1)[:, None]
+    k.flags.writeable = False  # so a LogPower drive keeps w(k) across the probes
 
     def margins(ts: np.ndarray):
         """F(k, t), 2 C_n |t|^p and their difference, one column per t."""

@@ -29,7 +29,9 @@ over the leading axes.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -80,10 +82,12 @@ class Window:
     def size(self) -> int:
         return 2 * self.half_width + 1
 
-    @property
+    @cached_property
     def indices(self) -> np.ndarray:
-        k = self.half_width
-        return np.arange(-k, k + 1)
+        """-K..K, built once per window and read-only."""
+        k = np.arange(-self.half_width, self.half_width + 1)
+        k.flags.writeable = False
+        return k
 
     def position(self, k: int) -> int:
         """Array offset of lattice index k."""
@@ -236,6 +240,8 @@ def phi_p(p: float, t):
     # other value; raising 1 in place of |t| = 0 keeps 0^(p-2) = inf out for
     # p < 2, so no floating-point state needs masking.
     t = np.add(t, 0.0, dtype=float)
+    if p == 2.0:  # |t|^0 is 1 for every t, inf and NaN included
+        return float(t) if t.ndim == 0 else t
     out = np.abs(t)
     out += out == 0.0
     out **= p - 2.0
@@ -248,9 +254,12 @@ def phi_p_prime(p: float, t, cap: Optional[float] = 1e8):
     if not p > 1.0:
         raise ValueError(f"phi_p_prime requires p > 1, got p={p}")
     t_arr = np.asarray(t, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = (p - 1.0) * np.abs(t_arr) ** (p - 2.0)
-    out = np.where(np.isnan(out), np.inf, out)
+    if p == 2.0:  # 1.0 |t|^0 is 1 for every t, inf and NaN included
+        out = np.ones(t_arr.shape)
+    else:  # only p < 2 raises 0 to a negative power
+        with np.errstate(divide="ignore", invalid="ignore") if p < 2.0 else nullcontext():
+            out = (p - 1.0) * np.abs(t_arr) ** (p - 2.0)
+        out = np.where(np.isnan(out), np.inf, out)
     if cap is not None:
         out = np.minimum(out, cap)
     if np.ndim(t) == 0:
@@ -322,7 +331,7 @@ def energy(u: LatticeSeq, prob: ProblemSpec) -> float:
 def _norm_gradient(V: np.ndarray, coeffs: CoefficientField, p: float) -> np.ndarray:
     """Gradient of ||u||^p / p (the coercive part of the energy), batched."""
     flux = coeffs.a * phi_p(p, _diff_many(V))
-    return -np.diff(flux, axis=-1) + coeffs.b * phi_p(p, V)
+    return -(flux[..., 1:] - flux[..., :-1]) + coeffs.b * phi_p(p, V)
 
 
 def residual_many(V: np.ndarray, prob: ProblemSpec) -> np.ndarray:
@@ -350,5 +359,8 @@ def cerami_metric(u: LatticeSeq, prob: ProblemSpec) -> float:
     The euclidean norm stands in for the dual norm of the derivative,
     which would require a separate optimization; diagnostic use only.
     """
-    r = residual_many(u.values, prob)
+    return _cerami_from_residual(u, prob, residual_many(u.values, prob))
+
+
+def _cerami_from_residual(u: LatticeSeq, prob: ProblemSpec, r: np.ndarray) -> float:
     return float((1.0 + weighted_norm(u, prob.coeffs, prob.p)) * np.linalg.norm(r))

@@ -64,6 +64,17 @@ def _scalar_or_array(out, k, t):
     return float(out) if np.ndim(t) == 0 and np.ndim(k) == 0 else out
 
 
+def _k_independent(out, k, t):
+    """``out``, broadcast against k's shape, as ``_scalar_or_array`` returns it.
+
+    The ones that widen ``out`` are skipped where it already has k's shape;
+    the factor 1.0 changes no value.
+    """
+    if np.shape(out)[np.ndim(out) - np.ndim(k):] != np.shape(k):
+        out = out * np.ones_like(np.asarray(k, dtype=float))
+    return _scalar_or_array(out, k, t)
+
+
 class Nonlinearity:
     """Common behavior; concrete families override f/F and friends."""
 
@@ -137,14 +148,28 @@ class LogPower(Nonlinearity):
             raise ValueError(f"unknown weight convention {self.weight_convention!r}; "
                              f"pick one of {WEIGHT_CONVENTIONS}")
 
+    _weight_cache = (None, None)  # (k, w(k)) for the last read-only array k
+
     def weight(self, k):
+        """w(k); for a read-only k, such as a window's indices, kept read-only until the next.
+
+        A read-only k is taken not to change while it is kept.
+        """
+        k_kept, w_kept = self._weight_cache  # one read: another thread may replace it
+        if k is k_kept and k is not None:
+            return w_kept
         k_arr = np.abs(np.asarray(k, dtype=float))
         if self.weight_convention == "one_plus_abs":
             w = (1.0 + k_arr) ** (-self.mu)
         else:
             with np.errstate(divide="ignore"):
                 w = np.where(k_arr == 0.0, 1.0, k_arr ** (-self.mu))
-        return float(w) if np.ndim(k) == 0 else w
+        if np.ndim(k) == 0:
+            return float(w)
+        if isinstance(k, np.ndarray) and not k.flags.writeable:
+            w.flags.writeable = False
+            object.__setattr__(self, "_weight_cache", (k, w))
+        return w
 
     def f(self, k, t):
         t_arr = np.asarray(t, dtype=float)
@@ -212,19 +237,15 @@ class PurePower(Nonlinearity):
             raise ValueError(f"c must be positive, got {self.c}")
 
     def f(self, k, t):
-        t_arr = np.asarray(t, dtype=float)
-        out = self.c * phi_p(self.q, t_arr) * np.ones_like(np.asarray(k, dtype=float))
-        return _scalar_or_array(out, k, t)
+        return _k_independent(self.c * phi_p(self.q, np.asarray(t, dtype=float)), k, t)
 
     def F(self, k, t):
-        t_arr = np.asarray(t, dtype=float)
-        out = (self.c / self.q) * np.abs(t_arr) ** self.q * np.ones_like(np.asarray(k, dtype=float))
-        return _scalar_or_array(out, k, t)
+        return _k_independent((self.c / self.q) * np.abs(np.asarray(t, dtype=float)) ** self.q,
+                              k, t)
 
     def df_dt(self, k, t):
         t_arr = np.asarray(t, dtype=float)
-        out = self.c * phi_p_prime(self.q, t_arr, cap=None) * np.ones_like(np.asarray(k, dtype=float))
-        return _scalar_or_array(out, k, t)
+        return _k_independent(self.c * phi_p_prime(self.q, t_arr, cap=None), k, t)
 
     def growth_exponent(self) -> float:
         return self.q

@@ -3,13 +3,18 @@
 Records embed the effective configuration text and the full solution
 values, so every scalar in a record can be recomputed from the record
 alone.  Floats are written with Python's shortest round-trip repr in JSON
-and with 17 significant digits in CSV; both reload bit-exactly.  Records
-carry no timestamps, which keeps equal-seed runs byte-identical.
+and with 17 significant digits in CSV; both reload bit-exactly.  JSON has no
+inf or NaN (RFC 8259), so a non-finite float is written as the object
+{"$float": "Infinity"}, {"$float": "-Infinity"} or {"$float": "NaN"}, which
+``load_json`` reads back as the float; a one-key object of that form is
+reserved for it.  Records carry no timestamps, which keeps equal-seed runs
+byte-identical.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -31,6 +36,7 @@ __all__ = [
 ]
 
 _F17 = "{:.17g}"
+_FLOAT_TAG = "$float"
 
 
 def solution_record(cfg: RunConfig, seed: int, result, extras: Optional[dict] = None) -> dict:
@@ -57,13 +63,28 @@ def solution_record(cfg: RunConfig, seed: int, result, extras: Optional[dict] = 
     return rec
 
 
+def _tag_non_finite(x):
+    """``x`` with each inf, -inf or NaN float replaced by {"$float": its JSON-style name}."""
+    if isinstance(x, float) and not math.isfinite(x):
+        return {_FLOAT_TAG: "NaN" if x != x else ("Infinity" if x > 0 else "-Infinity")}
+    if isinstance(x, dict):
+        return {k: _tag_non_finite(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_tag_non_finite(v) for v in x]
+    return x
+
+
+def _untag_non_finite(obj: dict):
+    return float(obj[_FLOAT_TAG]) if obj.keys() == {_FLOAT_TAG} else obj
+
+
 def save_json(path, payload: dict) -> None:
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n",
-                          encoding="utf-8")
+    text = json.dumps(_tag_non_finite(payload), sort_keys=True, indent=1, allow_nan=False)
+    Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 def load_json(path) -> dict:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    return json.loads(Path(path).read_text(encoding="utf-8"), object_hook=_untag_non_finite)
 
 
 def save_plot_csv(path, window, values) -> None:

@@ -42,8 +42,8 @@ from typing import Optional
 
 import numpy as np
 
-from .lattice import (LatticeSeq, ProblemSpec, Window, cerami_metric, energy,
-                      energy_many, phi_p, phi_p_prime, residual_many, sup_norm,
+from .lattice import (LatticeSeq, ProblemSpec, Window, _cerami_from_residual, _diff_many,
+                      energy, energy_many, phi_p, phi_p_prime, residual_many, sup_norm,
                       tail_mass)
 
 __all__ = [
@@ -126,13 +126,14 @@ def _tail_threshold(window: Window) -> int:
 def _finish(v: np.ndarray, prob: ProblemSpec, cfg: SolverConfig, iterations: int,
             note: str = "") -> SolveResult:
     u = LatticeSeq(prob.window, v)
-    r_inf = float(np.max(np.abs(residual_many(v, prob))))
+    r = residual_many(v, prob)
+    r_inf = float(np.max(np.abs(r)))
     h = _tail_threshold(prob.window)
     return SolveResult(
         u=u,
         energy=energy(u, prob),
         residual_inf_norm=r_inf,
-        cerami_metric=cerami_metric(u, prob),
+        cerami_metric=_cerami_from_residual(u, prob, r),
         tail_mass=tail_mass(u, h, prob.p),
         tail_threshold=h,
         iterations=iterations,
@@ -145,8 +146,7 @@ def _jacobian_bands(v: np.ndarray, prob: ProblemSpec) -> np.ndarray:
     """Banded (ab) form of the tridiagonal residual Jacobian."""
     n = v.size
     a, b = prob.coeffs.a, prob.coeffs.b
-    d = np.diff(v, prepend=0.0, append=0.0)
-    w = phi_p_prime(prob.p, d, cap=JACOBIAN_CAP)          # length n+1
+    w = phi_p_prime(prob.p, _diff_many(v), cap=JACOBIAN_CAP)  # length n+1
     wp = phi_p_prime(prob.p, v, cap=JACOBIAN_CAP)
     k = prob.window.indices
     main = a[:-1] * w[:-1] + a[1:] * w[1:] + b * wp - prob.lam * prob.nonlinearity.df_dt(k, v)

@@ -14,7 +14,9 @@ from scipy.linalg import solve_banded
 
 from dplhom.fountain import FountainGeometryError
 from dplhom.lattice import energy_many, phi_p, residual_many
-from dplhom.solver import LS_DECREASE, LS_SHRINK, MAX_BACKTRACKS, _jacobian_bands
+from dplhom.nonlinearity import PurePower
+from dplhom.solver import (JACOBIAN_CAP, LS_DECREASE, LS_SHRINK, MAX_BACKTRACKS,
+                           _jacobian_bands)
 
 
 def direct_weighted_norm(values, a, b, p):
@@ -271,6 +273,78 @@ def literal_phi_p(p, t):
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.where(t_arr == 0.0, 0.0, np.abs(t_arr) ** (p - 2.0) * t_arr)
     return float(out) if np.ndim(t) == 0 else out
+
+
+def general_phi_p(p, t):
+    """phi_p by the general kernel formula, with no shortcut at p = 2."""
+    t = np.add(t, 0.0, dtype=float)
+    out = np.abs(t)
+    out += out == 0.0
+    out **= p - 2.0
+    out *= t
+    return out
+
+
+def general_phi_p_prime(p, t, cap):
+    """(p - 1) |t|^(p-2), NaN read as inf, then clamped at ``cap``: no p = 2 shortcut."""
+    t = np.asarray(t, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = (p - 1.0) * np.abs(t) ** (p - 2.0)
+    out = np.where(np.isnan(out), np.inf, out)
+    return out if cap is None else np.minimum(out, cap)
+
+
+def _rebuilt_drive(nl, k, t, derivative):
+    """f or df/dt of a PurePower or LogPower drive, every factor rebuilt per call."""
+    t = np.asarray(t, dtype=float)
+    if isinstance(nl, PurePower):
+        ones = np.ones_like(np.asarray(k, dtype=float))
+        if derivative:
+            return nl.c * general_phi_p_prime(nl.q, t, None) * ones
+        return nl.c * general_phi_p(nl.q, t) * ones
+    k_abs = np.abs(np.asarray(k, dtype=float))
+    if nl.weight_convention == "one_plus_abs":
+        w = (1.0 + k_abs) ** (-nl.mu)
+    else:
+        with np.errstate(divide="ignore"):
+            w = np.where(k_abs == 0.0, 1.0, k_abs ** (-nl.mu))
+    if not derivative:
+        return w * general_phi_p(nl.p, t) * np.log1p(np.abs(t) ** nl.nu)
+    s = np.abs(t)
+    log_term = np.log1p(s ** nl.nu)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lead = (nl.p - 1.0) * s ** (nl.p - 2.0) * log_term
+    lead = np.where(log_term == 0.0, 0.0, lead)
+    ratio = nl.nu * s ** (nl.p + nl.nu - 2.0) / (1.0 + s ** nl.nu)
+    return w * (lead + ratio)
+
+
+def rebuilt_residual_many(V, prob):
+    """The residual kernel with nothing kept between calls: indices, weights
+    and differences are rebuilt, phi_p takes its general formula."""
+    V = np.asarray(V, dtype=float)
+    K = prob.window.half_width
+    a, b, p = prob.coeffs.a, prob.coeffs.b, prob.p
+    flux = a * general_phi_p(p, np.diff(V, axis=-1, prepend=0.0, append=0.0))
+    k = np.arange(-K, K + 1)
+    return (-np.diff(flux, axis=-1) + b * general_phi_p(p, V)
+            - prob.lam * _rebuilt_drive(prob.nonlinearity, k, V, derivative=False))
+
+
+def rebuilt_jacobian_bands(v, prob):
+    """Banded Jacobian with nothing kept between calls, as ``rebuilt_residual_many``."""
+    n = v.size
+    K = prob.window.half_width
+    a, b, p = prob.coeffs.a, prob.coeffs.b, prob.p
+    w = general_phi_p_prime(p, np.diff(v, prepend=0.0, append=0.0), JACOBIAN_CAP)
+    wp = general_phi_p_prime(p, v, JACOBIAN_CAP)
+    df = _rebuilt_drive(prob.nonlinearity, np.arange(-K, K + 1), v, derivative=True)
+    main = a[:-1] * w[:-1] + a[1:] * w[1:] + b * wp - prob.lam * df
+    ab = np.zeros((3, n))
+    ab[0, 1:] = -(a[1:-1] * w[1:-1])
+    ab[1, :] = main
+    ab[2, :-1] = -(a[1:-1] * w[1:-1])
+    return ab
 
 
 def literal_diff(V):

@@ -1,4 +1,6 @@
 import dataclasses
+import json
+import math
 import re
 import subprocess
 import sys
@@ -231,30 +233,44 @@ def test_cli_library_errors_map_to_numerical_exit(tmp_path, monkeypatch, error):
 
 
 def run_module(tmp_path, command, config):
-    """``python -m dplhom.cli`` in a fresh interpreter; returns its exit code."""
+    """``python -m dplhom.cli`` in a fresh interpreter; returns the finished process."""
     return subprocess.run(
         [sys.executable, "-m", "dplhom.cli", command, "--config", config,
          "--out", str(tmp_path / "out"), "--quiet"],
-        env=subprocess_env(), capture_output=True, text=True).returncode
+        env=subprocess_env(), capture_output=True, text=True)
 
 
 def test_cli_runs_as_a_module(tmp_path):
     bad = write_config(tmp_path, PURE_POWER_LINES + ["solve.amplitde = 3.0"])
-    assert run_module(tmp_path, "check", bad) == cli.EXIT_USAGE
+    assert run_module(tmp_path, "check", bad).returncode == cli.EXIT_USAGE
     assert not (tmp_path / "out" / "check_report.json").exists()
-    assert run_module(tmp_path, "check", str(CONFIG_DIR / "reference.cfg")) == cli.EXIT_OK
+    ok = run_module(tmp_path, "check", str(CONFIG_DIR / "reference.cfg"))
+    assert ok.returncode == cli.EXIT_OK
     assert (tmp_path / "out" / "check_report.json").exists()
+
+
+def strict_json(path):
+    """The file parsed as RFC 8259 JSON: a bare Infinity, -Infinity or NaN fails."""
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(path.read_text(encoding="utf-8"), parse_constant=reject)
 
 
 def test_cli_solve_with_a_non_finite_residual_exits_partial(tmp_path):
     # a 1e120 spike overflows the quartic drive: the solve stops unconverged
-    # (exit 1); it is not a configuration error (exit 64)
+    # (exit 1), quietly; it is not a configuration error (exit 64)
     text = (CONFIG_DIR / "pure_power.cfg").read_text(encoding="utf-8")
     cfg = write_config(tmp_path, [text, "solve.amplitude = 1e120"])
-    assert run_module(tmp_path, "solve", cfg) == cli.EXIT_PARTIAL
-    record = load_json(tmp_path / "out" / "solution.json")
+    proc = run_module(tmp_path, "solve", cfg)
+    assert proc.returncode == cli.EXIT_PARTIAL
+    assert proc.stderr == ""
+    path = tmp_path / "out" / "solution.json"
+    strict_json(path)
+    record = load_json(path)
     assert record["scalars"]["converged"] is False
     assert record["scalars"]["iterations"] == 1
+    assert record["scalars"]["energy"] == -math.inf
+    assert record["scalars"]["residual_inf_norm"] == math.inf
 
 
 # ---- check -------------------------------------------------------------------
@@ -386,6 +402,41 @@ def test_solution_records_roundtrip_through_verify(tmp_path_factory, p, K, drive
     drifts = verify_record(load_json(path))
     assert drifts["energy"] <= 1e-12
     assert drifts["residual_inf_norm"] <= 1e-12
+
+
+JSON_SCALARS = (st.none() | st.booleans() | st.integers(-10**6, 10**6)
+                | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=8))
+JSON_KEYS = st.text("abfloty", max_size=6)  # the tag {"$float": name} is reserved
+JSON_VALUES = st.recursive(JSON_SCALARS, lambda inner: st.lists(inner, max_size=4)
+                           | st.dictionaries(JSON_KEYS, inner, max_size=4),
+                           max_leaves=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(JSON_KEYS, JSON_VALUES, max_size=4))
+def test_save_json_writes_strict_json_that_round_trips(tmp_path_factory, payload):
+    path = tmp_path_factory.mktemp("json") / "payload.json"
+    save_json(path, payload)
+    strict_json(path)
+    plain = json.dumps(payload, sort_keys=True, indent=1) + "\n"
+    if "NaN" not in plain and "Infinity" not in plain:
+        # a record of finite floats keeps the bytes of a plain dump
+        assert path.read_text(encoding="utf-8") == plain
+    # equal after the round trip, with every NaN at the place of a NaN
+    assert json.dumps(load_json(path), sort_keys=True) == json.dumps(payload, sort_keys=True)
+
+
+def test_save_json_tags_each_non_finite_float(tmp_path):
+    path = tmp_path / "record.json"
+    save_json(path, {"scalars": {"energy": -math.inf, "metric": math.inf, "x": 1.5},
+                     "rows": [(math.nan, 0.0), np.float64(math.inf)]})
+    assert strict_json(path) == {
+        "scalars": {"energy": {"$float": "-Infinity"}, "metric": {"$float": "Infinity"},
+                    "x": 1.5},
+        "rows": [[{"$float": "NaN"}, 0.0], {"$float": "Infinity"}]}
+    back = load_json(path)
+    assert back["scalars"] == {"energy": -math.inf, "metric": math.inf, "x": 1.5}
+    assert math.isnan(back["rows"][0][0]) and back["rows"][1] == math.inf
 
 
 def test_sequence_zero_target(tmp_path):

@@ -345,6 +345,24 @@ def test_threshold_screen_matches_per_point_scan(drive, c_sup, h_n):
         assert type(got) is float and got == want
 
 
+def test_threshold_probes_share_one_weight_array(monkeypatch):
+    # the probes of one threshold search evaluate F on the same |k| <= h_n
+    # column, so a LogPower drive computes w(k) once for all of them
+    nl = LogPower(2.0, 2.0, 2.0)
+    plain = LogPower.weight
+    returned = []
+
+    def recorded(self, k):
+        returned.append(plain(self, k))
+        return returned[-1]
+
+    monkeypatch.setattr(LogPower, "weight", recorded)
+    prob = ProblemSpec(2.0, 1.0, CoefficientField.constant(Window(4)), nl)
+    superlinearity_threshold(prob, c_sup=3.0, h_n=2)
+    assert len(returned) > 5
+    assert all(w is returned[0] for w in returned)
+
+
 def test_threshold_note_names_the_overflowing_term():
     coeffs = CoefficientField.constant(Window(3))
     zero3 = ProblemSpec(3.0, 1.0, coeffs, CustomNonlinearity.zero(3.0))

@@ -10,7 +10,8 @@ from dplhom import (CoefficientField, CustomNonlinearity, LatticeSeq, LogPower,
                     residual, residual_many, sup_norm, tail_mass, weighted_norm)
 from conftest import make_constant_problem, random_problem
 from dplhom.lattice import _diff_many
-from oracles import direct_weighted_norm, fd_gradient, literal_diff, literal_phi_p
+from oracles import (direct_weighted_norm, fd_gradient, general_phi_p, general_phi_p_prime,
+                     literal_diff, literal_phi_p)
 
 # finite doubles with both zeros and the subnormals; exponents above and below 2
 _REALS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([0.0, -0.0])
@@ -75,7 +76,44 @@ def test_phi_p_prime_clamps_near_zero():
     assert phi_p_prime(3.0, 0.0) == 0.0
 
 
+_SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.5, 1e300])
+
+
+def test_phi_p_at_p2_is_the_general_formula():
+    # phi_2(t) = t + 0.0 and phi_2'(t) = min(1, cap) are the general
+    # formulas' bits at every t, NaN, infinities and both zeros included
+    for t in (_SPECIAL, _SPECIAL.reshape(2, 4), -0.0, np.nan, np.array(-np.inf)):
+        want = general_phi_p(2.0, t)
+        got = phi_p(2.0, t)
+        assert type(got) is (float if np.ndim(t) == 0 else np.ndarray)
+        assert _bits(got) == _bits(want)
+        for cap in (None, 1e8, 0.25, -0.0):
+            got = phi_p_prime(2.0, t, cap=cap)
+            assert np.shape(got) == np.shape(t)
+            assert _bits(got) == _bits(general_phi_p_prime(2.0, t, cap))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([1.5, 2.5, 3.0]) | st.floats(1.01, 6.0), _ARRAYS,
+       st.sampled_from([None, 1e8, 0.5]))
+def test_phi_p_prime_matches_the_general_formula(p, t, cap):
+    # p > 2 runs without masking floating-point state: no 0 to a negative power
+    with np.errstate(over="ignore"):
+        assert _bits(phi_p_prime(p, t, cap=cap)) == _bits(general_phi_p_prime(p, t, cap))
+
+
 # ---- window / sequence types ---------------------------------------------
+
+def test_window_indices_are_built_once_and_read_only():
+    window = Window(3)
+    k = window.indices
+    assert k is window.indices
+    assert k.tolist() == list(range(-3, 4))
+    assert not k.flags.writeable
+    with pytest.raises(ValueError):
+        k[0] = 5
+    assert Window(3) == window and hash(Window(3)) == hash(window)
+
 
 def test_window_validation():
     with pytest.raises(ValueError):

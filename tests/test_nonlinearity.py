@@ -1,14 +1,19 @@
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 
-from dplhom import CustomNonlinearity, LogPower, PurePower
+from dplhom import CustomNonlinearity, LogPower, PurePower, Window
 from conftest import subprocess_env
 from oracles import gauss_legendre_log_primitive, trapezoid_primitive
 
 # (p, nu) pairs with nu != p, which take the 2F1 form of the primitive
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
 _NU_NE_P = [(p, nu) for p in (1.5, 2.0, 2.5, 3.0) for nu in (1.0, 1.5, 2.0, 3.0, 7.0) if nu != p]
 
 
@@ -31,6 +36,69 @@ def test_log_power_oddness(rng):
     t = rng.uniform(0.01, 20.0, size=40)
     assert np.allclose(nl.f(k, -t), -nl.f(k, t), rtol=1e-12, atol=0)
     assert np.allclose(nl.F(k, -t), nl.F(k, t), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("convention", ["one_plus_abs", "abs_nonzero"])
+def test_log_power_keeps_the_window_weights_read_only(convention):
+    nl = LogPower(2.0, 2.5, 2.0, weight_convention=convention)
+    k = Window(4).indices
+    w = nl.weight(k)
+    assert nl.weight(k) is w
+    assert not w.flags.writeable
+    with pytest.raises(ValueError):
+        w[0] = 0.0
+    fresh = nl.weight(np.arange(-4, 5))  # a writeable k gets weights of its own
+    assert fresh is not w and fresh.flags.writeable
+    assert _bits(fresh) == _bits(w)
+    assert nl == LogPower(2.0, 2.5, 2.0, weight_convention=convention)
+    t = np.linspace(-2.0, 2.0, 9)
+    assert _bits(nl.f(k, t)) == _bits(nl.f(np.arange(-4, 5), t))
+
+
+def test_log_power_weights_stay_right_under_threads():
+    # threads on windows of different sizes share one drive and replace its
+    # kept weights all the time; each call must still get its own window's
+    nl = LogPower(2.0, 2.0, 2.0)
+    windows = [Window(K).indices for K in (1, 2, 3, 5, 8, 13)]
+    want = [nl.weight(np.array(k)) for k in windows]
+    wrong = []
+
+    def hammer(i):
+        for _ in range(3000):
+            j = (i + _) % len(windows)
+            if not np.array_equal(nl.weight(windows[j]), want[j]):
+                wrong.append(j)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=hammer, args=(i,)) for i in range(6)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert wrong == []
+
+
+def test_pure_power_keeps_scalar_and_broadcast_shapes():
+    nl = PurePower(2.0, 4.0, c=1.5)
+    k, t = Window(2).indices, np.array([-1.0, -0.0, 0.5, 2.0, 3.0])
+    for name in ("f", "F", "df_dt"):
+        fn = getattr(nl, name)
+        assert type(fn(0, 2.0)) is float
+        assert type(fn(np.int64(1), np.float64(2.0))) is float
+        assert fn(0, t).shape == (5,)                       # scalar k
+        assert fn(k, 2.0).shape == (5,)                     # scalar t
+        assert fn(k, t).shape == (5,)
+        assert fn(k, np.stack([t, 2 * t])).shape == (2, 5)  # batched rows
+        assert fn(np.stack([k, k]), t).shape == (2, 5)      # batched indices
+        assert fn(k[:, None], np.array([1.0, 2.0])).shape == (5, 2)
+        assert fn(k[:1], t).shape == (5,)
+        assert _bits(fn(k, 2.0)) == _bits(np.full(5, fn(0, 2.0)))
+        assert _bits(fn(np.stack([k, k]), t)) == _bits(np.stack([fn(k, t)] * 2))
 
 
 def test_log_power_weight_conventions():

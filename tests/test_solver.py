@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.linalg.lapack import dgtsv
 
+import dplhom.lattice as lattice
 import dplhom.solver as solver
 from dplhom import (CoefficientField, CustomNonlinearity, LatticeSeq, LogPower,
-                    MountainPassError, ProblemSpec, SolutionSet, SolveResult,
+                    MountainPassError, ProblemSpec, PurePower, SolutionSet, SolveResult,
                     SolverConfig, Window, bump_amplitude, deflated_solve,
                     energy, energy_parts, find_critical_points, mountain_pass,
                     newton_solve, residual, residual_many, solution_sequence,
@@ -20,7 +21,8 @@ from dplhom.solver import (_anchor_values, _deflation_terms, _jacobian_bands,
 from conftest import (make_constant_problem, make_pure_power_problem,
                       make_reference_problem, random_problem)
 from oracles import (dense_deflated_step, literal_deflation, multistart_flow_newton,
-                     per_point_bump_amplitude, sequential_newton_values, sets_match)
+                     per_point_bump_amplitude, rebuilt_jacobian_bands, rebuilt_residual_many,
+                     sequential_newton_values, sets_match)
 
 
 @pytest.fixture(scope="module")
@@ -88,20 +90,27 @@ def test_newton_result_residual_independently_verified(cfg):
 
 def test_newton_evaluates_diagnostics_once_per_solve(monkeypatch, cfg):
     # the loop computes only what decides the next step; energy and the
-    # Cerami metric are evaluated once, on the returned point
-    calls = {"energy": 0, "cerami_metric": 0}
-    for name in calls:
-        plain = getattr(solver, name)
+    # Cerami metric are evaluated once, on the returned point, and the
+    # Cerami metric reuses the residual that gives residual_inf_norm
+    calls = {"energy": 0, "_cerami_from_residual": 0, "residual_many": 0}
+    for module, name in ((solver, "energy"), (solver, "_cerami_from_residual"),
+                         (solver, "residual_many"), (lattice, "residual_many")):
+        plain = getattr(module, name)
 
         def counted(*args, _name=name, _plain=plain):
             calls[_name] += 1
             return _plain(*args)
 
-        monkeypatch.setattr(solver, name, counted)
+        monkeypatch.setattr(module, name, counted)
     prob = make_pure_power_problem(K=2)
     res = newton_solve(LatticeSeq.spike(prob.window, 0, 1.5), prob, cfg)
     assert res.converged and res.iterations >= 3
-    assert calls == {"energy": 1, "cerami_metric": 1}
+    assert calls["energy"] == 1 and calls["_cerami_from_residual"] == 1
+    calls["residual_many"] = 0
+    again = solver._finish(res.u.values, prob, cfg, res.iterations)
+    assert calls["residual_many"] == 1
+    assert (again.residual_inf_norm, again.cerami_metric) == (res.residual_inf_norm,
+                                                              res.cerami_metric)
 
 
 def test_cerami_bound_at_converged_point(cfg):
@@ -365,6 +374,40 @@ def test_search_examples_meet_a_zero_pivot_and_a_row_swap():
     ab = _jacobian_bands(v0, prob)
     assert abs(ab[1, 0]) < abs(ab[2, 0])
     assert _newton_values(v0, prob, SolverConfig(), anchors)[1] >= 1
+
+
+# signed zeros, subnormals and values whose powers overflow, among ordinary ones
+_KERNEL_ENTRIES = (st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1e-300,
+                                    1e300, -1e300])
+                   | st.floats(-4.0, 4.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([1.5, 2.0, 3.0]), st.integers(1, 3), st.integers(1, 3),
+       st.sampled_from(["pure", "log", "log_bare"]), st.integers(0, 2 ** 32 - 1),
+       hnp.arrays(np.float64, (3, 7), elements=_KERNEL_ENTRIES))
+@example(2.0, 1, 1, "pure", 0, np.full((3, 7), -0.0))  # phi_2(-0.0) must be +0.0
+def test_kernels_match_the_rebuilt_formulas(p, K, m, drive, seed, values):
+    # the residual and the Jacobian bands keep per-window constants between
+    # calls; each call, the first and a repeat, is the rebuilt formula bit
+    # for bit, NaN and the sign of zero included
+    rng = np.random.default_rng(seed)
+    window = Window(K)
+    coeffs = CoefficientField.from_arrays(window, rng.uniform(0.5, 2.0, window.size + 1),
+                                          rng.uniform(0.8, 3.0, window.size))
+    nl = (PurePower(p, q=p + 1.5) if drive == "pure" else
+          LogPower(p, mu=2.0, nu=p + 1.0,
+                   weight_convention="one_plus_abs" if drive == "log" else "abs_nonzero"))
+    prob = ProblemSpec(p, float(rng.uniform(0.1, 2.0)), coeffs, nl)
+    V = values[:m, :window.size]
+    with np.errstate(all="ignore"):
+        R_ref = rebuilt_residual_many(V, prob)
+        bands_ref = [rebuilt_jacobian_bands(v, prob) for v in V]
+        for _ in range(2):
+            assert residual_many(V, prob).tobytes() == R_ref.tobytes()
+            assert residual_many(V[0], prob).tobytes() == R_ref[0].tobytes()
+            for v, ab_ref in zip(V, bands_ref):
+                assert _jacobian_bands(v, prob).tobytes() == ab_ref.tobytes()
 
 
 def test_line_search_makes_at_most_two_residual_calls(monkeypatch):
