@@ -21,12 +21,9 @@ r_n above r_n^p / (2p).  On Y_n, a comparison constant C_n with
 F(k, t) >= 2 C_n |t|^p for |k| <= h_n, |t| > T give a radius
 rho_n > max((lam p C_n)^(1/p) T, r_n) at which the energy is nonpositive.
 
-C_n is exact: one sign vertex attains it (see ``sup_norm_constant``).
-For p = 2, beta_{2,n} is exact and beta_{q,n} a certified upper bound, both
-from the tridiagonal matrix of ||u||^2 (see ``embedding_profile``), so the
-energy floor on the Z_n sphere follows from the bounds; the sphere sampling
-re-checks it.  For p != 2, beta is a sampled maximum, so only a lower bound
-on the true sup, and only the sphere sampling guards the floor.
+C_n is exact: one sign vertex attains it (see ``sup_norm_constant``).  The
+betas are certified upper bounds (see ``embedding_profile``), so the energy
+floor on the Z_n sphere follows from them; the sphere sampling re-checks it.
 """
 
 from __future__ import annotations
@@ -38,7 +35,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .lattice import (CoefficientField, ProblemSpec, Window, _norm_gradient,
-                      energy_many, phi_p, weighted_norm_many)
+                      energy_many, phi_p, phi_p_prime, weighted_norm_many)
 
 __all__ = [
     "FountainGeometryError",
@@ -132,99 +129,112 @@ def _embed(window: Window, sites: np.ndarray, coords: np.ndarray) -> np.ndarray:
     return out
 
 
-def _ratio_ascent(coeffs: CoefficientField, p: float, q: float, window: Window,
-                  sites: np.ndarray, starts: np.ndarray, iters: int):
-    """Maximize ||u||_q / ||u|| over vectors supported on ``sites``.
+# Per run: at most _EIGEN_STEPS Newton steps, each halved up to _HALVINGS times
+# and moving a log(v_{k+1} / v_k) by at most _LOG_STEP; phi_p' reads relative
+# differences under _PLATEAU (a flat top) as _PLATEAU.  _BRACKET_RTOL is the gap
+# that stops the steps, and the slack by which one may raise the upper end.
+_EIGEN_STEPS, _HALVINGS, _LOG_STEP, _PLATEAU, _BRACKET_RTOL = 50, 30, 1.0, 1e-8, 1e-12
 
-    Projected gradient ascent on the ratio: each step follows the ratio
-    gradient on the support, renormalizes radially, and is accepted only if
-    the objective improves (per-start adaptive step sizes).  The q-norm
-    gradient alone would be useless here: at q = p = 2 it is parallel to u
-    and dies under renormalization.
+
+def _run_bracket(a: np.ndarray, b: np.ndarray, p: float):
+    """(lam_lo, lam_hi, v): lam_lo <= lambda_1 <= lam_hi on one run, and v > 0.
+
+    lambda_1 = min ||u||^p / sum |u|^p over u on the run (site weights b,
+    difference weights a).  For v > 0 the discrete Picone identity (Allegretto
+    & Huang, Nonlinear Anal. 32, 1998) gives lambda_1 >= min rho, rho = L_p v /
+    phi_p(v), L_p the gradient of ||.||^p / p; the Rayleigh quotient, the
+    v^p-weighted mean of rho, is >= lambda_1.  From v = 1, damped Newton steps
+    solve rho = const in s = log v; the Jacobian has zero row sums and left
+    null vector v^p, so the system is consistent with the Rayleigh quotient on
+    the right, and regular with s held at the largest v.  An iterate whose
+    phi_p(v) underflows is refused, so it certifies nothing.
     """
-    mask_pos = sites + window.half_width
-    U = np.array(starts, dtype=float)
-    norms = weighted_norm_many(U, coeffs, p)
-    U /= norms[:, None]
-    obj = np.sum(np.abs(U) ** q, axis=-1) ** (1.0 / q)
-    eta = np.full(U.shape[0], 1.0)
-    active = np.ones(U.shape[0], dtype=bool)
-    for _ in range(iters):
-        if not np.any(active):
+    from scipy.linalg.lapack import dgtsv  # scipy loads at the first bracket, not at import
+
+    def quotients(v):  # (rho, Rayleigh quotient), or None where phi_p(v) underflows
+        phi = phi_p(p, v)
+        if np.all(phi >= np.finfo(float).tiny):
+            lv = _norm_gradient(v, a, b, p)
+            return lv / phi, float(v @ lv) / float(phi @ v)
+
+    v = np.ones(b.size)
+    rho, lam_hi = quotients(v)
+    lam_lo = float(np.min(rho))
+    for _ in range(_EIGEN_STEPS):
+        if lam_lo >= lam_hi * (1.0 - _BRACKET_RTOL):
             break
-        lq = obj[:, None]
-        # grad of ||u||_q minus its component along grad of ||u|| (at ||u|| = 1)
-        grad_full = (lq ** (1.0 - q)) * phi_p(q, U) - lq * _norm_gradient(U, coeffs, p)
-        grad = np.zeros_like(U)
-        grad[:, mask_pos] = grad_full[:, mask_pos]
-        cand = U + (eta * active)[:, None] * grad
-        cn = weighted_norm_many(cand, coeffs, p)
-        ok_norm = cn > 0.0
-        cand[ok_norm] /= cn[ok_norm, None]
-        cobj = np.sum(np.abs(cand) ** q, axis=-1) ** (1.0 / q)
-        improved = active & ok_norm & (cobj > obj + 1e-15)
-        U[improved] = cand[improved]
-        obj[improved] = cobj[improved]
-        eta[improved] *= 1.5
-        failed = active & ~improved
-        eta[failed] *= 0.5
-        active &= eta > 1e-14
-    best = int(np.argmax(obj))
-    return float(obj[best]), U[best]
+        r = v[1:] / v[:-1]
+        up = -a[1:-1] * r * phi_p_prime(p, np.maximum(np.abs(r - 1.0), _PLATEAU), cap=None)
+        down = -a[1:-1] / r * phi_p_prime(p, np.maximum(np.abs(1.0 / r - 1.0), _PLATEAU), cap=None)
+        main = -np.r_[up, 0.0] - np.r_[0.0, down]
+        rhs = lam_hi - rho
+        c = int(np.argmax(v))  # row c follows from the others, and s_c stays
+        main[c], rhs[c], up[c:c + 1], down[c - 1:c] = 1.0, 0.0, 0.0, 0.0
+        ds, info = dgtsv(down, main, up, rhs)[3:]
+        if info != 0 or not np.all(np.isfinite(ds)):
+            break
+        ds = np.cumsum(np.r_[0.0, np.clip(np.diff(ds), -_LOG_STEP, _LOG_STEP)])
+        for _ in range(_HALVINGS):
+            trial = v * np.exp(ds - ds.max())
+            got = quotients(trial / trial.max())
+            if got is not None and got[1] <= lam_hi * (1.0 + _BRACKET_RTOL):
+                break
+            ds *= 0.5
+        else:
+            break
+        v, (rho, lam_hi) = trial / trial.max(), got
+        lam_lo = max(lam_lo, float(np.min(rho)))
+    return lam_lo, lam_hi, v
 
 
-def embedding_maximizer(split: BasisSplit, q: float, starts: int = 8,
-                        seed: int = 0, iters: int = 600):
-    """Best sampled ||u||_q / ||u|| over Z_n and the unit vector achieving it."""
-    if q < split.p:
-        raise ValueError(f"q must be at least p = {split.p}, got {q}")
-    rng = np.random.default_rng(seed)
-    sites = split.z_sites
-    coords = rng.standard_normal((max(1, starts), sites.size))
-    U0 = _embed(split.window, sites, coords)
-    return _ratio_ascent(split.coeffs, split.p, q, split.window, sites, U0, iters)
+def _z_brackets(split: BasisSplit, memo: dict) -> list:
+    """(positions, lam_lo, lam_hi, v) per connected run of Z_n; ``memo`` keeps solved runs."""
+    pos = np.sort(split.z_sites + split.window.half_width)
+    runs = np.split(pos, np.flatnonzero(np.diff(pos) > 1) + 1)
+    for i, j in ((int(run[0]), int(run[-1])) for run in runs):
+        if (i, j) not in memo:
+            memo[i, j] = _run_bracket(split.coeffs.a[i:j + 2], split.coeffs.b[i:j + 1], split.p)
+    return [(run, *memo[int(run[0]), int(run[-1])]) for run in runs]
 
 
-def embedding_constant(split: BasisSplit, q: float, starts: int = 8,
-                       seed: int = 0, iters: int = 600) -> float:
-    """Best sampled ||u||_q / ||u|| over the tail block Z_n (lower bound)."""
-    return embedding_maximizer(split, q, starts=starts, seed=seed, iters=iters)[0]
+def embedding_constant(split: BasisSplit, q: float) -> float:
+    """Certified upper bound on beta_{q,n}: ``embedding_profile`` at n alone."""
+    return float(embedding_profile(split.coeffs, split.p, q, [split.n])[0])
 
 
-def _norm_matrix(coeffs: CoefficientField) -> np.ndarray:
-    """Dense tridiagonal A with ||u||^2 = u^T A u (the p = 2 norm)."""
-    a, b = coeffs.a, coeffs.b
-    off = -a[1:-1]
-    return np.diag(a[:-1] + a[1:] + b) + np.diag(off, 1) + np.diag(off, -1)
+def embedding_maximizer(split: BasisSplit, q: float):
+    """``embedding_constant`` and the unit vector u on Z_n whose ||u||_p is the
+    lower end of the bracket on beta_{p,n}: the least-Rayleigh run's eigenvector."""
+    run, _, _, v = min(_z_brackets(split, {}), key=lambda br: br[2])
+    u = _embed(split.window, run - split.window.half_width, v)
+    return embedding_constant(split, q), u / weighted_norm_many(u, split.coeffs, split.p)
 
 
 def embedding_profile(coeffs: CoefficientField, p: float, q: float,
-                      n_list: Sequence[int], seed: int = 0) -> np.ndarray:
-    """Embedding constants beta_{q,n} along n, nonincreasing in n.
+                      n_list: Sequence[int]) -> np.ndarray:
+    """Upper bounds on the embedding constants beta_{q,n}, nonincreasing in n.
 
-    Raises ValueError for q < p, as ``embedding_maximizer`` does.  For p = 2
-    the values are closed forms on A_Z, the principal submatrix of the
-    tridiagonal matrix A of ||u||^2 on the Z_n sites, and ``seed`` is unused:
+    Raises ValueError for q < p.  For p = 2 the values are closed forms on
+    A_Z, the Z_n block of the tridiagonal A with ||u||^2 = u^T A u:
 
     * beta_{2,n} = lambda_min(A_Z)^(-1/2), the exact sup of the Rayleigh
       quotient ||u||_2^2 / u^T A_Z u;
     * |u_k|^2 <= (A_Z^-1)_kk ||u||^2 by Cauchy-Schwarz in the A_Z inner
       product, so beta_inf^2 = max_k (A_Z^-1)_kk bounds ||u||_inf / ||u||;
-    * sum |u|^q <= ||u||_inf^(q-2) sum |u|^2, so for q > 2 the value
-      beta_{q,n} = (beta_inf^(q-2) beta_{2,n}^2)^(1/q) is an upper bound
-      (at q = 2 it is beta_{2,n} itself).
+    * sum |u|^q <= ||u||_inf^(q-2) sum |u|^2, so beta_{q,n} <=
+      (beta_inf^(q-2) beta_{2,n}^2)^(1/q), which is beta_{2,n} at q = 2.
 
-    The Z_n are nested, so the A_Z are nested principal submatrices and both
-    values are nonincreasing in n.  ``eigvalsh`` is backward stable: its
-    lambda_min is off by about machine epsilon times ||A_Z||, which on the
-    reference coefficients (K = 50, b = 1 + k^2, ||A_Z|| < 2600, lambda_min
-    > 1.9) moves beta by under 1e-12 relative, far below ``_SLACK``.
+    The A_Z are nested, so both values are nonincreasing in n.  ``eigvalsh``
+    is backward stable: on the reference coefficients (K = 50, b = 1 + k^2,
+    ||A_Z|| < 2600, lambda_min > 1.9) beta moves by under 1e-12 relative.
 
-    For p != 2 each value is a projected ratio ascent from 8 random starts
-    (drawn with ``seed``, 600 steps each), so a sampled lower bound.  It
-    runs from the largest n down, seeding each maximization with the best
-    vector of the previous (smaller) tail block, which is feasible in the
-    larger one; the sampled sup therefore never increases with n.
+    For p != 2, ||u||^p splits into one sum per connected run of Z_n (at
+    most two), so beta_{p,n}^-p is the least first eigenvalue of the runs.
+    Each run is bracketed once (``_run_bracket``); the value is the largest
+    lam_lo^(-1/p), with a running minimum over the sorted n (Z_n shrinks as n
+    grows), and bounds beta_{q,n} for q > p too, as ||u||_q <= ||u||_p.  On
+    the reference coefficients at p = 1.5 and 3 the bracket's ends agree to
+    about 1e-12.  Bounds are certified in floating point, without directed rounding.
     """
     if q < p:
         raise ValueError(f"q must be at least p = {p}, got {q}")
@@ -232,7 +242,8 @@ def embedding_profile(coeffs: CoefficientField, p: float, q: float,
     window = coeffs.window
     out = {}
     if p == 2.0:
-        A = _norm_matrix(coeffs)
+        a, b, off = coeffs.a, coeffs.b, -coeffs.a[1:-1]
+        A = np.diag(a[:-1] + a[1:] + b) + np.diag(off, 1) + np.diag(off, -1)
         for n in n_sorted:
             pos = BasisSplit(coeffs, p, n).z_sites + window.half_width
             A_Z = A[np.ix_(pos, pos)]
@@ -240,18 +251,10 @@ def embedding_profile(coeffs: CoefficientField, p: float, q: float,
             beta_inf = np.max(np.diag(np.linalg.inv(A_Z))) ** 0.5
             out[n] = (beta_inf ** (q - 2.0) * beta_2 ** 2) ** (1.0 / q)
     else:
-        rng = np.random.default_rng(seed)
-        carry = None
-        for n in reversed(n_sorted):
-            split = BasisSplit(coeffs, p, n)
-            sites = split.z_sites
-            coords = rng.standard_normal((8, sites.size))
-            U0 = _embed(window, sites, coords)
-            if carry is not None:
-                U0 = np.vstack([U0, carry[None, :]])
-            val, best = _ratio_ascent(coeffs, p, q, window, sites, U0, 600)
-            out[n] = val
-            carry = best
+        memo, beta = {}, math.inf
+        for n in n_sorted:
+            lam_lo = min(br[1] for br in _z_brackets(BasisSplit(coeffs, p, n), memo))
+            out[n] = beta = min(beta, lam_lo ** (-1.0 / p) if lam_lo > 0.0 else math.inf)
     return np.array([out[int(n)] for n in n_list])
 
 
@@ -458,14 +461,12 @@ def fountain_table(prob: ProblemSpec, q: float, d: float, n_list: Sequence[int],
                    seed: int = 0, samples: int = 1000) -> list:
     """Per-n geometry rows: beta values, radii, and sampled verifications.
 
-    For p != 2 the betas are sampled lower bounds, and each row's note says
-    so first.
+    The betas are the certified upper bounds of ``embedding_profile``.
     """
     n_list = [int(n) for n in n_list]
     coeffs, p, lam = prob.coeffs, prob.p, prob.lam
-    note_prefix = "" if p == 2.0 else "beta is a sampled lower bound; "
-    betas_p = embedding_profile(coeffs, p, p, n_list, seed=seed)
-    betas_q = embedding_profile(coeffs, p, q, n_list, seed=seed + 1)
+    betas_p = embedding_profile(coeffs, p, p, n_list)
+    betas_q = embedding_profile(coeffs, p, q, n_list) if p == 2.0 else betas_p  # equal off p = 2
     rows = []
     for i, n in enumerate(n_list):
         split = BasisSplit(coeffs, p, n)
@@ -495,5 +496,5 @@ def fountain_table(prob: ProblemSpec, q: float, d: float, n_list: Sequence[int],
             energy_floor=floor, z_min_energy=z_min, z_violations=z_viol,
             c_sup=c_sup, support_radius=split.support_radius, threshold=threshold,
             radius_y=r_y, y_max_energy=y_max, y_violations=y_viol,
-            y_strong_count=y_strong, note=note_prefix + note))
+            y_strong_count=y_strong, note=note))
     return rows

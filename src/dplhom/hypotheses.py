@@ -218,20 +218,18 @@ def _check_H3(nl, plan) -> HypothesisReport:
 
 
 def _h4_profiles(nl, plan):
-    """Per-k superlinearity ratios f(k,t) t / |t|^p over the large-|t| grid."""
+    """Ratios f(k,t) t / |t|^p on the large-|t| grid, |t| levels, per-k worst ratio per level."""
     t = plan.large_t()
     k = plan.k_values[:, None]
     ratio = nl.f(k, t[None, :]) * t[None, :] / np.abs(t)[None, :] ** nl.p
-    mags, level = np.unique(np.abs(t), return_inverse=True)   # ascending |t| levels
-    prof = np.full((plan.k_values.size, mags.size), -np.inf)
-    for j in range(t.size):  # worst (smallest) ratio per magnitude level
-        prof[:, level[j]] = np.where(prof[:, level[j]] == -np.inf, ratio[:, j],
-                                     np.minimum(prof[:, level[j]], ratio[:, j]))
-    return mags, prof
+    mags, level = np.unique(np.abs(t), return_inverse=True)
+    prof = np.full((mags.size, plan.k_values.size), np.inf)
+    np.minimum.at(prof, level, ratio.T)
+    return ratio, mags, prof.T
 
 
-def _check_H4(nl, plan) -> HypothesisReport:
-    mags, prof = _h4_profiles(nl, plan)
+def _check_H4(nl, plan, profiles=None) -> HypothesisReport:
+    _, mags, prof = profiles or _h4_profiles(nl, plan)
     if mags.size < 3:
         return HypothesisReport("H4", INCONCLUSIVE, detail="not enough large-t samples")
     mid = mags.size // 2
@@ -251,7 +249,8 @@ def _check_H4(nl, plan) -> HypothesisReport:
 
 
 def _check_H4p(nl, plan) -> HypothesisReport:
-    base = _check_H4(nl, plan)
+    profiles = _h4_profiles(nl, plan)
+    base = _check_H4(nl, plan, profiles)
     if base.verdict == REFUTED:
         return HypothesisReport("H4p", REFUTED, witness=base.witness,
                                 detail="pointwise superlinearity already fails: " + base.detail)
@@ -260,8 +259,7 @@ def _check_H4p(nl, plan) -> HypothesisReport:
     # a weight decaying in k pushes it beyond any fixed grid.
     t = plan.large_t()
     k = plan.k_values[:, None]
-    ratio = nl.f(k, t[None, :]) * t[None, :] / np.abs(t)[None, :] ** nl.p
-    hit = ratio >= 1.0
+    hit = profiles[0] >= 1.0
     crossed = np.any(hit, axis=1)
     t_cross = np.where(crossed, np.abs(t)[np.argmax(hit, axis=1)], np.inf)
     if np.all(crossed):

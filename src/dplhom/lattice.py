@@ -328,16 +328,16 @@ def energy(u: LatticeSeq, prob: ProblemSpec) -> float:
     return float(energy_many(u.values, prob))
 
 
-def _norm_gradient(V: np.ndarray, coeffs: CoefficientField, p: float) -> np.ndarray:
-    """Gradient of ||u||^p / p (the coercive part of the energy), batched."""
-    flux = coeffs.a * phi_p(p, _diff_many(V))
-    return -(flux[..., 1:] - flux[..., :-1]) + coeffs.b * phi_p(p, V)
+def _norm_gradient(V: np.ndarray, a: np.ndarray, b: np.ndarray, p: float) -> np.ndarray:
+    """Gradient of ||u||^p / p, batched, for the weights a, b of the sites V covers."""
+    flux = a * phi_p(p, _diff_many(V))
+    return -(flux[..., 1:] - flux[..., :-1]) + b * phi_p(p, V)
 
 
 def residual_many(V: np.ndarray, prob: ProblemSpec) -> np.ndarray:
     """Coordinate gradient of the energy, batched over leading axes."""
     V = np.asarray(V, dtype=float)
-    return (_norm_gradient(V, prob.coeffs, prob.p)
+    return (_norm_gradient(V, prob.coeffs.a, prob.coeffs.b, prob.p)
             - prob.lam * prob.nonlinearity.f(prob.window.indices, V))
 
 

@@ -455,3 +455,57 @@ def power_method_lower_bound(A_Z, q, starts=8, seed=0, iters=2000):
         values = np.maximum(values, new)
         U = A_inv @ (np.abs(U) ** (q - 1.0) * np.sign(U))
     return float(np.max(values))
+
+
+def ratio_ascent(coeffs, p, q, sites, starts=8, seed=0, iters=600):
+    """Sup of ||u||_q / ||u|| over u supported on ``sites``, from below.
+
+    Projected gradient ascent on the ratio from ``starts`` Gaussian vectors:
+    each step follows the ratio gradient on the support, renormalizes
+    radially, and is accepted only if the objective improves (per-start
+    adaptive step sizes).  Every iterate is a feasible vector, so the result
+    is a lower bound.  The gradient of ||u||^p / p is summed from the
+    zero-extended differences by hand.  Returns the best ratio and its unit
+    vector.
+    """
+    window = coeffs.window
+    pos = np.asarray(sites) + window.half_width
+    a, b = coeffs.a, coeffs.b
+
+    def norm(U):
+        return (np.sum(a * np.abs(literal_diff(U)) ** p, axis=-1)
+                + np.sum(b * np.abs(U) ** p, axis=-1)) ** (1.0 / p)
+
+    def norm_gradient(U):
+        flux = a * general_phi_p(p, literal_diff(U))
+        return flux[:, :-1] - flux[:, 1:] + b * general_phi_p(p, U)
+
+    rng = np.random.default_rng(seed)
+    U = np.zeros((max(1, starts), window.size))
+    U[:, pos] = rng.standard_normal((U.shape[0], pos.size))
+    U /= norm(U)[:, None]
+    obj = np.sum(np.abs(U) ** q, axis=-1) ** (1.0 / q)
+    eta = np.full(U.shape[0], 1.0)
+    active = np.ones(U.shape[0], dtype=bool)
+    for _ in range(iters):
+        if not np.any(active):
+            break
+        lq = obj[:, None]
+        # grad of ||u||_q minus its component along grad of ||u|| (at ||u|| = 1)
+        grad_full = (lq ** (1.0 - q)) * general_phi_p(q, U) - lq * norm_gradient(U)
+        grad = np.zeros_like(U)
+        grad[:, pos] = grad_full[:, pos]
+        cand = U + (eta * active)[:, None] * grad
+        cn = norm(cand)
+        ok_norm = cn > 0.0
+        cand[ok_norm] /= cn[ok_norm, None]
+        cobj = np.sum(np.abs(cand) ** q, axis=-1) ** (1.0 / q)
+        improved = active & ok_norm & (cobj > obj + 1e-15)
+        U[improved] = cand[improved]
+        obj[improved] = cobj[improved]
+        eta[improved] *= 1.5
+        failed = active & ~improved
+        eta[failed] *= 0.5
+        active &= eta > 1e-14
+    best = int(np.argmax(obj))
+    return float(obj[best]), U[best]

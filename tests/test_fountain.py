@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dplhom import (BasisSplit, CoefficientField, CustomNonlinearity,
                     FountainGeometryError, LatticeSeq,
@@ -15,7 +17,7 @@ from dplhom import (BasisSplit, CoefficientField, CustomNonlinearity,
                     z_sphere_radius)
 import dplhom.fountain as fountain
 from dplhom.fountain import spiral_sites
-from oracles import (per_point_threshold, power_method_lower_bound,
+from oracles import (per_point_threshold, power_method_lower_bound, ratio_ascent,
                      vertex_maximum_constant)
 
 
@@ -67,13 +69,14 @@ def test_split_index_bounds(coeffs6):
 
 def test_beta_one_dimensional_closed_form(coeffs6):
     # Z_{2K+1} is spanned by the spike at the last spiral site
-    split = BasisSplit(coeffs6, 2.0, coeffs6.window.size)
     site = spiral_sites(coeffs6.window)[-1]
     pos = site + coeffs6.window.half_width
-    spike_norm = (coeffs6.a[pos] + coeffs6.a[pos + 1] + coeffs6.b[pos]) ** 0.5
-    for q in (2.0, 3.0, 4.0):
-        got = embedding_constant(split, q, seed=4)
-        assert got == pytest.approx(1.0 / spike_norm, rel=1e-12)
+    for p in (1.5, 2.0, 3.0):
+        split = BasisSplit(coeffs6, p, coeffs6.window.size)
+        spike_norm = (coeffs6.a[pos] + coeffs6.a[pos + 1] + coeffs6.b[pos]) ** (1.0 / p)
+        for q in (p, p + 1.0, p + 2.0):
+            got = embedding_constant(split, q)
+            assert got == pytest.approx(1.0 / spike_norm, rel=1e-12)
 
 
 def test_beta_matches_eigen_oracle(coeffs6):
@@ -86,14 +89,18 @@ def test_beta_matches_eigen_oracle(coeffs6):
         oracle = 1.0 / np.sqrt(lam_max_inv)
         pi = power_iteration_largest(np.linalg.inv(As))
         assert np.sqrt(pi) == pytest.approx(oracle, rel=1e-9)
-        got = embedding_constant(split, 2.0, starts=8, seed=1, iters=2000)
-        assert got == pytest.approx(oracle, rel=1e-7)
+        got, u = embedding_maximizer(split, 2.0)
+        assert got == pytest.approx(oracle, rel=1e-12)
+        # the witness is a unit vector on Z_n whose ratio is the bracket's lower end
+        assert weighted_norm_many(u, coeffs6, 2.0) == pytest.approx(1.0, rel=1e-12)
+        assert np.all(np.delete(u, pos) == 0.0)
+        assert np.linalg.norm(u) == pytest.approx(oracle, rel=1e-10)
 
 
 def test_beta_profile_nonincreasing(coeffs6):
     n_list = list(range(1, coeffs6.window.size + 1))
-    for p, q in ((2.0, 2.0), (2.0, 4.0), (2.5, 2.5), (2.5, 4.0)):
-        prof = embedding_profile(coeffs6, p, q, n_list, seed=3)
+    for p, q in ((2.0, 2.0), (2.0, 4.0), (1.5, 1.5), (2.5, 2.5), (2.5, 4.0)):
+        prof = embedding_profile(coeffs6, p, q, n_list)
         assert np.all(np.diff(prof) <= 1e-9)
 
 
@@ -115,7 +122,8 @@ def test_beta_profile_p2_bounds_the_sampled_constant(coeffs6, q):
     n_list = list(range(1, coeffs6.window.size + 1))
     prof = embedding_profile(coeffs6, 2.0, q, n_list)
     for n, bound in zip(n_list, prof):
-        assert embedding_constant(BasisSplit(coeffs6, 2.0, n), q, seed=n) <= bound * (1 + 1e-12)
+        sampled, _ = ratio_ascent(coeffs6, 2.0, q, BasisSplit(coeffs6, 2.0, n).z_sites, seed=n)
+        assert sampled <= bound * (1 + 1e-12)
 
 
 def test_beta_q_profile_brackets_power_method_on_reference():
@@ -142,30 +150,147 @@ def test_beta_profile_p2_above_the_sampled_ascent_on_reference():
 
 
 def test_beta_profile_p2_draws_no_random_numbers(coeffs6, monkeypatch):
+    # neither the closed form at p = 2 nor the bracket off it samples
     def no_rng(*args, **kwargs):
-        raise AssertionError("the p = 2 profile must not sample")
+        raise AssertionError("the profile must not sample")
 
     monkeypatch.setattr(np.random, "default_rng", no_rng)
-    prof = embedding_profile(coeffs6, 2.0, 4.0, [1, 5, 13], seed=5)
-    assert np.all(np.isfinite(prof))
+    for p in (2.0, 1.5, 3.0):
+        prof = embedding_profile(coeffs6, p, 4.0, [1, 5, 13])
+        assert np.all(np.isfinite(prof))
 
 
-@pytest.mark.parametrize("p, sampled", [(2.0, False), (2.5, True)])
-def test_fountain_table_samples_beta_only_off_p2(monkeypatch, p, sampled):
+def test_beta_profile_p15_bounds_the_spike_on_reference():
+    # the sampled ascent returned 0.165 at n = 1, below the 0.48075 that the
+    # spike at k = 0 attains; the sup is 0.5896622
+    coeffs = CoefficientField.polynomial(Window(50), exponent=2.0)
+    got = embedding_profile(coeffs, 1.5, 1.5, [1])[0]
+    spike = 3.0 ** (-1.0 / 1.5)  # a(0) + a(1) + b(0) = 3
+    sampled, _ = ratio_ascent(coeffs, 1.5, 1.5, spiral_sites(coeffs.window))
+    assert got >= spike and got >= sampled
+    assert got == pytest.approx(0.5896622, rel=1e-6)
+
+
+def _lower_end(split, memo, q):
+    """Largest ||v||_q / ||v|| over the run eigenvectors of Z_n, with v put on the window."""
+    best = 0.0
+    for pos, _, _, v in fountain._z_brackets(split, memo):
+        u = np.zeros(split.window.size)
+        u[pos] = v
+        best = max(best, lp_norm(LatticeSeq(split.window, u), q)
+                   / weighted_norm(LatticeSeq(split.window, u), split.coeffs, split.p))
+    return best
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_beta_bracket_is_sound_and_tight_on_reference(p):
+    coeffs = CoefficientField.polynomial(Window(50), exponent=2.0)
+    n_list = list(range(1, coeffs.window.size + 1))
+    prof = embedding_profile(coeffs, p, p + 2.0, n_list)
+    assert np.array_equal(prof, embedding_profile(coeffs, p, p, n_list))  # beta_q = beta_p
+    assert np.all(np.diff(prof) <= 0.0)
+    memo = {}
+    for n, upper in zip(n_list, prof):
+        split = BasisSplit(coeffs, p, n)
+        lower = _lower_end(split, memo, p)
+        assert lower <= upper <= lower * (1.0 + 1e-6)
+        if n in (1, 2, 3, 51, 101):
+            sampled, _ = ratio_ascent(coeffs, p, p, split.z_sites, seed=n)
+            assert sampled <= lower * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("steps", [0, 1, 3])
+def test_beta_bracket_is_sound_before_it_converges(coeffs6, monkeypatch, steps):
+    # every iterate's Picone bound is an upper bound on beta, not only the
+    # converged one; v = 1 alone bounds it by min over the run of
+    # b(k) plus a at the run's two ends
+    n_list = list(range(1, coeffs6.window.size + 1))
+    sups = {p: embedding_profile(coeffs6, p, p, n_list) for p in (1.5, 3.0)}
+    monkeypatch.setattr(fountain, "_EIGEN_STEPS", steps)
+    for p, sup in sups.items():
+        got = embedding_profile(coeffs6, p, p, n_list)
+        assert np.all(got >= sup * (1.0 - 1e-12))
+        if steps == 0:  # Z_1 is the whole window, and b(0) = 1 is its least b
+            assert got[0] == 1.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6), st.floats(1.3, 4.0), st.integers(0, 2 ** 32 - 1))
+def test_beta_bracket_bounds_every_drawn_vector(K, p, seed):
+    rng = np.random.default_rng(seed)
+    window = Window(K)
+    coeffs = CoefficientField.from_arrays(window, rng.uniform(0.05, 5.0, window.size + 1),
+                                          rng.uniform(0.05, 5.0, window.size))
+    n_list = list(range(1, window.size + 1))
+    prof = embedding_profile(coeffs, p, p, n_list)
+    # (at p = 2 the closed form may rise by rounding)
+    assert np.all(np.isfinite(prof)) and np.all(np.diff(prof) <= 1e-12 * prof[:-1])
+    for n, upper in zip(n_list, prof):
+        sites = BasisSplit(coeffs, p, n).z_sites
+        sampled, _ = ratio_ascent(coeffs, p, p, sites, starts=2, seed=n, iters=150)
+        W = np.zeros((64, window.size))
+        W[:, sites + K] = rng.standard_normal((64, sites.size))
+        drawn = np.sum(np.abs(W) ** p, axis=1) ** (1.0 / p) / weighted_norm_many(W, coeffs, p)
+        assert max(sampled, float(np.max(drawn))) <= upper * (1.0 + 1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 40), st.integers(0, 2 ** 32 - 1))
+def test_run_bracket_at_p2_is_the_eigenvalue(m, seed):
+    rng = np.random.default_rng(seed)
+    a, b = rng.uniform(0.05, 5.0, m + 1), rng.uniform(0.05, 5.0, m)
+    A = np.diag(a[:-1] + a[1:] + b) - np.diag(a[1:-1], 1) - np.diag(a[1:-1], -1)
+    want = np.linalg.eigvalsh(A)[0]
+    lam_lo, lam_hi, v = fountain._run_bracket(a, b, 2.0)
+    assert lam_lo <= lam_hi
+    assert lam_lo == pytest.approx(want, rel=1e-10)
+    assert lam_hi == pytest.approx(want, rel=1e-10)
+    assert np.all(v > 0.0)
+
+
+def test_beta_bracket_holds_where_the_eigenvector_underflows():
+    # at p = 1.3 on b = 1 + k^2 the first eigenvector of the full window
+    # falls below the smallest float within |k| <= 50; iterates whose
+    # phi_p(v) underflows are refused, and the bound stays above a witness
+    coeffs = CoefficientField.polynomial(Window(50), exponent=2.0)
+    split = BasisSplit(coeffs, 1.3, 1)
+    upper = embedding_constant(split, 1.3)
+    _, u = embedding_maximizer(split, 1.3)
+    assert np.all(np.abs(u[40:61]) > 0.0)
+    assert lp_norm(LatticeSeq(coeffs.window, u), 1.3) <= upper
+    assert upper == pytest.approx(_lower_end(split, {}, 1.3), rel=1e-3)
+
+
+def test_beta_without_a_positive_picone_bound_is_infinite(monkeypatch):
+    # a run whose bracket certifies nothing (lam_lo <= 0) makes beta infinite
+    # and the row infeasible, never a smaller number
+    monkeypatch.setattr(fountain, "_run_bracket", lambda a, b, p: (0.0, 1.0, np.ones(b.size)))
+    coeffs = CoefficientField.polynomial(Window(3), exponent=2.0)
+    assert np.all(embedding_profile(coeffs, 1.5, 3.5, [1, 2, 7]) == math.inf)
+    prob = ProblemSpec(1.5, 1.0, coeffs, LogPower(1.5, 2.0, 1.5))
+    rows = fountain_table(prob, q=3.5, d=0.2, n_list=[1, 2], seed=1, samples=20)
+    assert [(r.beta_p, r.feasible, r.radius_z) for r in rows] == [(math.inf, False, None)] * 2
+
+
+@pytest.mark.parametrize("p, bracketed", [(2.0, False), (2.5, True)])
+def test_fountain_table_brackets_beta_only_off_p2(monkeypatch, p, bracketed):
     calls = []
-    real = fountain._ratio_ascent
+    real = fountain._run_bracket
 
     def spy(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(fountain, "_ratio_ascent", spy)
+    monkeypatch.setattr(fountain, "_run_bracket", spy)
     coeffs = CoefficientField.polynomial(Window(4), exponent=2.0)
     prob = ProblemSpec(p, 1.0, coeffs, LogPower(p, 2.0, p))
     rows = fountain_table(prob, q=4.0, d=0.2, n_list=[1, 2, 3], seed=1, samples=50)
-    assert bool(calls) is sampled
-    for r in rows:
-        assert r.note.startswith("beta is a sampled lower bound; ") is sampled
+    assert bool(calls) is bracketed
+    # n = 1, 2, 3 have the runs -4..4, then -4..-1 and 1..4, then -4..-1 and
+    # 2..4: each distinct run is solved once, and beta_q reuses beta_p
+    assert len(calls) == (4 if bracketed else 0)
+    assert all(r.feasible and r.note == "" for r in rows)
+    assert all(r.beta_q == r.beta_p for r in rows) is bracketed  # q = 4 > p
 
 
 def test_beta_rejects_q_below_p(coeffs6):
@@ -416,8 +541,11 @@ def test_energy_floor_halved_growth_constant_breaks():
     plan_t = np.logspace(-3, 3, 600)
     d_true = float(np.max((plan_t ** 4 / 4.0) / (plan_t ** 2 + plan_t ** 4)))
     split = BasisSplit(coeffs, 2.0, 1)
-    beta_p = embedding_constant(split, 2.0, seed=0, iters=2000)
-    beta_q, direction = embedding_maximizer(split, 4.0, seed=1, iters=2000)
+    # sharp constants: beta_p is exact at p = 2, and the ascent's beta_q is
+    # attained by its direction (the certified beta_q bound is larger, and
+    # with it the halved d still keeps the floor)
+    beta_p = embedding_constant(split, 2.0)
+    beta_q, direction = ratio_ascent(coeffs, 2.0, 4.0, split.z_sites, seed=1, iters=2000)
 
     r_true = z_sphere_radius(d_true, 4.0, 1.0, 2.0, beta_p, beta_q)
     chk = verify_energy_floor(split, prob, r_true, r_true ** 2 / 4.0, 1000, seed=3)
@@ -507,6 +635,5 @@ def test_fountain_table_no_drive_notes_error():
         rows = fountain_table(prob, q=4.0, d=1.0, n_list=[1, 2], seed=0, samples=50)
         for r in rows:
             assert r.threshold is None
-            assert "no threshold T" in r.note
-            assert r.note.startswith("beta is a sampled lower bound; ") is (p != 2.0)
+            assert r.note.startswith("no threshold T")
 
