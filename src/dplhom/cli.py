@@ -53,15 +53,12 @@ class _Parser(argparse.ArgumentParser):
 def _parse_args(argv):
     parser = _Parser(prog="dplhom", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("check", "solve", "sequence", "fountain", "sweep",
-                 "demo-inconsistency"):
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="path to a run configuration")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the configured solver seed")
-        p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--quiet", action="store_true")
+    parser.add_argument("command", choices=_HANDLERS, help="subcommand, as listed above")
+    parser.add_argument("--config", required=True, help="path to a run configuration")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="override the configured solver seed")
+    parser.add_argument("--out", default="out", help="output directory")
+    parser.add_argument("--quiet", action="store_true")
     args = parser.parse_args(argv)
     if args.seed is not None and args.seed < 0:
         parser.error(f"--seed must be nonnegative, got {args.seed}")
@@ -76,11 +73,8 @@ def _say(quiet: bool, *parts):
 def cmd_check(cfg: RunConfig, seed: Optional[int], outdir: Path, quiet: bool) -> int:
     prob = cfg.build_problem()
     plan = cfg.build_plan()
-    conditions = cfg.get_list("check.conditions", default=list(CONDITIONS))
-    for name in conditions:
-        if name not in CONDITIONS:
-            raise cfg.error("check.conditions", f"unknown condition {name!r}")
-    required = cfg.required_conditions()
+    conditions = cfg.get_conditions("check.conditions", default=CONDITIONS)
+    required = cfg.get_conditions("check.required", default=())
     reports = check_all(prob.nonlinearity, plan, prob.coeffs, conditions)
 
     payload = {"config": cfg.values, "required": required, "reports": {}}
@@ -132,7 +126,7 @@ def cmd_sequence(cfg: RunConfig, seed: Optional[int], outdir: Path, quiet: bool)
     prob = cfg.build_problem()
     scfg = cfg.build_solver(seed)
     n_target = cfg.get_int("sequence.n_target", default=3, minimum=0)
-    if cfg.get_str("problem.coeff.kind", default="constant") == "table":
+    if not prob.coeffs.rewindowable:
         # every accepted rung is re-solved on a wider window
         raise cfg.error("problem.coeff.kind", "a table field cannot be widened for "
                                               "the continuation check")
@@ -170,6 +164,7 @@ def cmd_sequence(cfg: RunConfig, seed: Optional[int], outdir: Path, quiet: bool)
 
 
 def _fountain_n_list(cfg: RunConfig, size: int) -> list:
+    """``fountain.n_list``: split indices in 1..size, by default 1..min(size, 7)."""
     raw = cfg.get_str("fountain.n_list", default="")
     if not raw:
         return list(range(1, min(size, 7) + 1))
@@ -184,6 +179,9 @@ def _fountain_n_list(cfg: RunConfig, size: int) -> list:
         n_list = cfg.get_int_list("fountain.n_list")
     if not n_list:
         raise cfg.error("fountain.n_list", f"no split index in {raw!r}")
+    bad = [n for n in n_list if not 1 <= n <= size]
+    if bad:
+        raise cfg.error("fountain.n_list", f"n values {bad} outside 1..{size}")
     return n_list
 
 
@@ -191,9 +189,6 @@ def cmd_fountain(cfg: RunConfig, seed: Optional[int], outdir: Path, quiet: bool)
     prob = cfg.build_problem()
     scfg = cfg.build_solver(seed)
     n_list = _fountain_n_list(cfg, prob.window.size)
-    bad = [n for n in n_list if not 1 <= n <= prob.window.size]
-    if bad:
-        raise cfg.error("fountain.n_list", f"n values {bad} outside 1..{prob.window.size}")
 
     q = cfg.get_float("fountain.q", default=prob.nonlinearity.growth_exponent() or 0.0)
     if not q > prob.p:
@@ -221,9 +216,10 @@ def cmd_fountain(cfg: RunConfig, seed: Optional[int], outdir: Path, quiet: bool)
         _say(quiet, f"n={r.n:<4} beta_p={r.beta_p:.6g} beta_q={r.beta_q:.6g} "
                     f"r_n={rz} C_n={r.c_sup:.6g}{note}")
 
-    if all(not r.feasible for r in rows):
-        _say(quiet, "every split index is infeasible; enlarge the window or "
-                    "reduce lambda * d")
+    if all(r.z_violations is None for r in rows):  # no row checked its floor
+        _say(quiet, "every split index is infeasible; enlarge the window or reduce "
+                    "lambda * d" if not any(r.feasible for r in rows) else
+                    "no split index has a floor check; see the row notes")
         return EXIT_PARTIAL
     if any((r.z_violations or 0) > 0 or (r.y_violations or 0) > 0 for r in rows):
         return EXIT_REFUTED
@@ -263,23 +259,24 @@ def cmd_demo_inconsistency(cfg: RunConfig, seed: Optional[int], outdir: Path,
 
 
 def cmd_sweep(cfg: RunConfig, seed: Optional[int], outdir: Path, quiet: bool) -> int:
-    param = cfg.get_str("sweep.parameter", default="lambda", choices=("lambda",))
     values = cfg.get_float_list("sweep.values")
     if not values:
         raise cfg.error("sweep.values", "no values to sweep")
+    names = [f"lambda_{value:g}" for value in values]  # one output directory each
+    if min(values) <= 0.0 or len(set(names)) < len(names):
+        raise cfg.error("sweep.values", f"values must be positive, with distinct "
+                                        f"directory names; got {', '.join(names)}")
     task = cfg.get_str("sweep.task", default="fountain",
                        choices=("check", "solve", "sequence", "fountain"))
-    handler = {"check": cmd_check, "solve": cmd_solve,
-               "sequence": cmd_sequence, "fountain": cmd_fountain}[task]
     worst = EXIT_OK
-    for value in values:
+    for value, name in zip(values, names):
         sub_values = dict(cfg.values)
         sub_values["problem.lambda"] = repr(float(value))
         sub_cfg = RunConfig(sub_values, dict(cfg.lines))
-        sub_dir = outdir / f"{param}_{value:g}"
+        sub_dir = outdir / name
         sub_dir.mkdir(parents=True, exist_ok=True)
-        _say(quiet, f"--- {param} = {value:g}")
-        code = handler(sub_cfg, seed, sub_dir, quiet)
+        _say(quiet, f"--- lambda = {value:g}")
+        code = _HANDLERS[task](sub_cfg, seed, sub_dir, quiet)
         worst = max(worst, code)
     return worst
 

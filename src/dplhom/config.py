@@ -45,7 +45,7 @@ KNOWN_KEYS = frozenset({
     "solve.start", "solve.site", "solve.amplitude",
     "sequence.n_target",
     "fountain.n_list", "fountain.q", "fountain.d", "fountain.samples",
-    "sweep.parameter", "sweep.values", "sweep.task",
+    "sweep.values", "sweep.task",
     "demo.T", "demo.T1", "demo.K_list",
 })
 
@@ -70,78 +70,76 @@ class RunConfig:
     values: dict
     lines: dict
 
-    def _line(self, key: str) -> Optional[int]:
-        return self.lines.get(key)
-
     def error(self, key: str, message: str) -> ConfigError:
         """A ``ConfigError`` naming ``key`` and, if the file sets it, its line."""
-        return ConfigError(message, key, self._line(key))
+        return ConfigError(message, key, self.lines.get(key))
 
     def has(self, key: str) -> bool:
         return key in self.values
 
+    def _get(self, key: str, default, parse):
+        """``parse(raw)`` of the value set for ``key``, else ``default``; None makes it required."""
+        raw = self.values.get(key)
+        if raw is not None:
+            return parse(raw)
+        if default is None:
+            raise self.error(key, "missing required key")
+        return default
+
     def get_str(self, key: str, default: Optional[str] = None,
                 choices: Optional[Sequence[str]] = None) -> str:
-        raw = self.values.get(key)
-        if raw is None:
-            if default is None:
-                raise ConfigError("missing required key", key)
-            raw = default
+        raw = self._get(key, default, str)
         if choices is not None and raw not in choices:
-            raise ConfigError(f"value {raw!r} not one of {sorted(choices)}", key, self._line(key))
+            raise self.error(key, f"value {raw!r} not one of {sorted(choices)}")
         return raw
 
     def get_float(self, key: str, default: Optional[float] = None,
                   minimum: Optional[float] = None, strict: bool = False) -> float:
-        raw = self.values.get(key)
-        if raw is None:
-            if default is None:
-                raise ConfigError("missing required key", key)
-            return float(default)
-        try:
-            val = float(raw)
-        except ValueError:
-            raise ConfigError(f"expected a number, got {raw!r}", key, self._line(key))
-        if not math.isfinite(val):
-            raise ConfigError("expected a finite number", key, self._line(key))
-        if minimum is not None and (val <= minimum if strict else val < minimum):
-            op = ">" if strict else ">="
-            raise ConfigError(f"value must be {op} {minimum}, got {val}", key, self._line(key))
-        return val
+        def parse(raw):
+            try:
+                val = float(raw)
+            except ValueError:
+                raise self.error(key, f"expected a number, got {raw!r}")
+            if not math.isfinite(val):
+                raise self.error(key, "expected a finite number")
+            if minimum is not None and (val <= minimum if strict else val < minimum):
+                op = ">" if strict else ">="
+                raise self.error(key, f"value must be {op} {minimum}, got {val}")
+            return val
+        return float(self._get(key, default, parse))
 
     def get_int(self, key: str, default: Optional[int] = None,
                 minimum: Optional[int] = None) -> int:
-        raw = self.values.get(key)
-        if raw is None:
-            if default is None:
-                raise ConfigError("missing required key", key)
-            return int(default)
-        try:
-            val = int(raw)
-        except ValueError:
-            raise ConfigError(f"expected an integer, got {raw!r}", key, self._line(key))
-        if minimum is not None and val < minimum:
-            raise ConfigError(f"value must be >= {minimum}, got {val}", key, self._line(key))
-        return val
+        def parse(raw):
+            try:
+                val = int(raw)
+            except ValueError:
+                raise self.error(key, f"expected an integer, got {raw!r}")
+            if minimum is not None and val < minimum:
+                raise self.error(key, f"value must be >= {minimum}, got {val}")
+            return val
+        return int(self._get(key, default, parse))
 
     def get_list(self, key: str, default: Optional[Sequence[str]] = None) -> list:
-        raw = self.values.get(key)
-        if raw is None:
-            if default is None:
-                raise ConfigError("missing required key", key)
-            return list(default)
-        items = [part.strip() for part in raw.split(",") if part.strip()]
-        return items
+        return list(self._get(key, default, lambda raw: [
+            part.strip() for part in raw.split(",") if part.strip()]))
+
+    def get_conditions(self, key: str, default: Sequence[str]) -> list:
+        """The condition names listed under ``key``, each one of ``CONDITIONS``."""
+        names = self.get_list(key, default)
+        for name in names:
+            if name not in CONDITIONS:
+                raise self.error(key, f"unknown condition {name!r}; known: {CONDITIONS}")
+        return names
 
     def get_float_list(self, key: str, default=None) -> list:
         items = self.get_list(key, default)
         try:
             vals = [float(x) for x in items]
         except ValueError:
-            raise ConfigError(f"expected numbers, got {self.values.get(key)!r}",
-                              key, self._line(key))
+            raise self.error(key, f"expected numbers, got {self.values.get(key)!r}")
         if not all(math.isfinite(x) for x in vals):
-            raise ConfigError("expected a finite number", key, self._line(key))
+            raise self.error(key, "expected a finite number")
         return vals
 
     def get_int_list(self, key: str, default=None) -> list:
@@ -149,8 +147,7 @@ class RunConfig:
         try:
             return [int(x) for x in items]
         except ValueError:
-            raise ConfigError(f"expected integers, got {self.values.get(key)!r}",
-                              key, self._line(key))
+            raise self.error(key, f"expected integers, got {self.values.get(key)!r}")
 
     # ---- builders -------------------------------------------------------
 
@@ -177,7 +174,7 @@ class RunConfig:
             except ValueError as exc:
                 key = ("problem.coeff.a_values" if len(a_vals) != window.size + 1
                        or min(a_vals) <= 0.0 else "problem.coeff.b_values")
-                raise ConfigError(str(exc), key, self._line(key))
+                raise self.error(key, str(exc))
         nl = self._build_nonlinearity(p)
         return ProblemSpec(p, lam, coeffs, nl)
 
@@ -206,23 +203,18 @@ class RunConfig:
         )
 
     def build_plan(self) -> SamplingPlan:
+        k_max = self.get_int("check.k_max", default=100, minimum=1)
+        t_min = self.get_float("check.t_min", default=1e-8, minimum=0.0, strict=True)
+        t_max = self.get_float("check.t_max", default=1e3, minimum=0.0, strict=True)
+        if not t_max > t_min:  # the default t_max included
+            raise self.error("check.t_max", f"must exceed check.t_min = {t_min}, got {t_max}")
         return SamplingPlan.default(
-            k_max=self.get_int("check.k_max", default=100, minimum=1),
-            t_min=self.get_float("check.t_min", default=1e-8, minimum=0.0, strict=True),
-            t_max=self.get_float("check.t_max", default=1e3, minimum=0.0, strict=True),
+            k_max=k_max, t_min=t_min, t_max=t_max,
             per_decade=self.get_int("check.per_decade", default=40, minimum=1),
             s_points=self.get_int("check.s_points", default=21, minimum=2),
             summability_T=self.get_float("check.summability_T", default=10.0,
                                          minimum=0.0, strict=True),
         )
-
-    def required_conditions(self) -> list:
-        names = self.get_list("check.required", default=[])
-        for name in names:
-            if name not in CONDITIONS:
-                raise ConfigError(f"unknown condition {name!r}; known: {CONDITIONS}",
-                                  "check.required", self._line("check.required"))
-        return names
 
 
 def parse_config_text(text: str) -> RunConfig:

@@ -184,7 +184,9 @@ def _run_bracket(a: np.ndarray, b: np.ndarray, p: float):
             break
         v, (rho, lam_hi) = trial / trial.max(), got
         lam_lo = max(lam_lo, float(np.min(rho)))
-    return lam_lo, lam_hi, v
+    # exactly, the Picone bound is <= the Rayleigh quotient; where the two
+    # meet, rounding can put it an ulp above, so the lower end is the smaller
+    return min(lam_lo, lam_hi), lam_hi, v
 
 
 def _z_brackets(split: BasisSplit, memo: dict) -> list:
@@ -212,7 +214,8 @@ def embedding_maximizer(split: BasisSplit, q: float):
 
 def embedding_profile(coeffs: CoefficientField, p: float, q: float,
                       n_list: Sequence[int]) -> np.ndarray:
-    """Upper bounds on the embedding constants beta_{q,n}, nonincreasing in n.
+    """Upper bounds on the embedding constants beta_{q,n}, nonincreasing in n
+    (at p = 2 up to rounding).
 
     Raises ValueError for q < p.  For p = 2 the values are closed forms on
     A_Z, the Z_n block of the tridiagonal A with ||u||^2 = u^T A u:
@@ -224,9 +227,12 @@ def embedding_profile(coeffs: CoefficientField, p: float, q: float,
     * sum |u|^q <= ||u||_inf^(q-2) sum |u|^2, so beta_{q,n} <=
       (beta_inf^(q-2) beta_{2,n}^2)^(1/q), which is beta_{2,n} at q = 2.
 
-    The A_Z are nested, so both values are nonincreasing in n.  ``eigvalsh``
-    is backward stable: on the reference coefficients (K = 50, b = 1 + k^2,
-    ||A_Z|| < 2600, lambda_min > 1.9) beta moves by under 1e-12 relative.
+    The A_Z are nested, so both values are nonincreasing in n in exact
+    arithmetic; ``eigvalsh`` and ``inv`` round each block on its own, so two
+    consecutive values can rise by a few ulps (1.1e-16 on a random K = 3
+    field).  ``eigvalsh`` is backward stable: on the reference coefficients
+    (K = 50, b = 1 + k^2, ||A_Z|| < 2600, lambda_min > 1.9) beta moves by
+    under 1e-12 relative.
 
     For p != 2, ||u||^p splits into one sum per connected run of Z_n (at
     most two), so beta_{p,n}^-p is the least first eigenvalue of the runs.
@@ -263,14 +269,24 @@ def z_sphere_radius(d: float, q: float, lam: float, p: float,
     """Radius of the tail-block sphere where the energy floor kicks in.
 
     Returns None when the feasibility margin 1/(2p) - lam d beta_p^p is not
-    positive (the split index is still too small).
+    positive (the split index is still too small), and inf when the radius
+    is beyond float64 range (a tiny lam d beta_q^q).
     """
     if not (d > 0.0 and q > p):
         raise ValueError("need d > 0 and q > p")
     margin = 1.0 / (2.0 * p) - lam * d * beta_p ** p
     if margin <= 0.0:
         return None
-    return float((margin / (lam * d * beta_q ** q)) ** (1.0 / (q - p)))
+    scale = lam * d * beta_q ** q
+    return _power(margin / scale, 1.0 / (q - p)) if scale > 0.0 else math.inf
+
+
+def _power(x: float, e: float) -> float:
+    """x ** e for x >= 0 in Python floats, inf where that overflows."""
+    try:
+        return float(x) ** e
+    except OverflowError:
+        return math.inf
 
 
 def sup_norm_constant(split: BasisSplit, lam: float) -> float:
@@ -472,25 +488,27 @@ def fountain_table(prob: ProblemSpec, q: float, d: float, n_list: Sequence[int],
         split = BasisSplit(coeffs, p, n)
         bp, bq = float(betas_p[i]), float(betas_q[i])
         r_z = z_sphere_radius(d, q, lam, p, bp, bq)
-        floor = z_min = None
-        z_viol = None
-        if r_z is not None:
-            floor = r_z ** p / (2.0 * p)
-            zc = verify_energy_floor(split, prob, r_z, floor, samples, seed + 100 + n)
-            z_min, z_viol = zc.extreme_energy, zc.violations
         c_sup = sup_norm_constant(split, lam)
+        floor = None if r_z is None else _power(r_z, p) / (2.0 * p)
+        z_min = z_viol = threshold = r_y = y_max = y_viol = y_strong = None
         note = ""
-        threshold = r_y = y_max = None
-        y_viol = y_strong = None
-        try:
-            threshold = superlinearity_threshold(prob, c_sup, split.support_radius)
-            r_y = y_sphere_radius(lam, p, c_sup, threshold, r_z if r_z is not None else 0.0)
-            yc = verify_energy_ceiling(split, prob, r_y, samples, seed + 300 + n)
-            y_max, y_viol, y_strong = yc.extreme_energy, yc.violations, yc.strong_count
-        except FountainGeometryError as exc:
-            note = str(exc)
-        except (OverflowError, FloatingPointError) as exc:  # pragma: no cover
-            note = f"amplitude beyond float range: {exc}"
+        if floor == math.inf:  # rho_n > r_n puts the Y_n sphere out of range too
+            floor, note = None, (f"radius_z = {r_z:.3e}: r_z^p is beyond float64 range, "
+                                 f"so neither sphere is checked")
+        else:
+            if floor is not None:
+                zc = verify_energy_floor(split, prob, r_z, floor, samples, seed + 100 + n)
+                z_min, z_viol = zc.extreme_energy, zc.violations
+            try:
+                threshold = superlinearity_threshold(prob, c_sup, split.support_radius)
+                r_y = y_sphere_radius(lam, p, c_sup, threshold,
+                                      r_z if r_z is not None else 0.0)
+                yc = verify_energy_ceiling(split, prob, r_y, samples, seed + 300 + n)
+                y_max, y_viol, y_strong = yc.extreme_energy, yc.violations, yc.strong_count
+            except FountainGeometryError as exc:
+                note = str(exc)
+            except (OverflowError, FloatingPointError) as exc:  # pragma: no cover
+                note = f"amplitude beyond float range: {exc}"
         rows.append(FountainRow(
             n=n, beta_p=bp, beta_q=bq, feasible=r_z is not None, radius_z=r_z,
             energy_floor=floor, z_min_energy=z_min, z_violations=z_viol,

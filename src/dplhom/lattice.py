@@ -190,8 +190,13 @@ class CoefficientField:
         b_arr = np.asarray(b, dtype=float)
         return cls(window, a, b_arr, float(b_arr.min()) if b0 is None else float(b0))
 
+    @property
+    def rewindowable(self) -> bool:
+        """Whether ``with_window`` can rebuild the field; a table-built one cannot."""
+        return self.a_fn is not None and self.b_fn is not None
+
     def with_window(self, window: Window) -> "CoefficientField":
-        if self.a_fn is None or self.b_fn is None:
+        if not self.rewindowable:
             raise ValueError("coefficient field was built from tables and cannot be re-windowed")
         return CoefficientField.from_functions(window, self.a_fn, self.b_fn, b0=self.b0)
 
@@ -304,15 +309,14 @@ def sup_norm(u: LatticeSeq) -> float:
 
 
 def energy_parts_many(V: np.ndarray, prob: ProblemSpec):
-    """Batched (total, norm_part, source_part) for values of shape (..., n)."""
+    """Batched (total, ||u||^p, source_part) for values of shape (..., n)."""
     V = np.asarray(V, dtype=float)
     d = _diff_many(V)
     c = prob.coeffs
     norm_p = (np.sum(c.a * np.abs(d) ** prob.p, axis=-1)
               + np.sum(c.b * np.abs(V) ** prob.p, axis=-1))
-    norm_part = norm_p / prob.p
     source = np.sum(prob.nonlinearity.F(prob.window.indices, V), axis=-1)
-    return norm_part - prob.lam * source, norm_part, source
+    return norm_p / prob.p - prob.lam * source, norm_p, source
 
 
 def energy_many(V: np.ndarray, prob: ProblemSpec) -> np.ndarray:
@@ -320,8 +324,8 @@ def energy_many(V: np.ndarray, prob: ProblemSpec) -> np.ndarray:
 
 
 def energy_parts(u: LatticeSeq, prob: ProblemSpec) -> EnergyParts:
-    total, norm_part, source = energy_parts_many(u.values, prob)
-    return EnergyParts(float(total), float(norm_part), float(source))
+    total, norm_p, source = energy_parts_many(u.values, prob)
+    return EnergyParts(float(total), float(norm_p / prob.p), float(source))
 
 
 def energy(u: LatticeSeq, prob: ProblemSpec) -> float:
@@ -359,8 +363,10 @@ def cerami_metric(u: LatticeSeq, prob: ProblemSpec) -> float:
     The euclidean norm stands in for the dual norm of the derivative,
     which would require a separate optimization; diagnostic use only.
     """
-    return _cerami_from_residual(u, prob, residual_many(u.values, prob))
+    return _cerami_from_residual(weighted_norm(u, prob.coeffs, prob.p),
+                                 residual_many(u.values, prob))
 
 
-def _cerami_from_residual(u: LatticeSeq, prob: ProblemSpec, r: np.ndarray) -> float:
-    return float((1.0 + weighted_norm(u, prob.coeffs, prob.p)) * np.linalg.norm(r))
+def _cerami_from_residual(norm: float, r: np.ndarray) -> float:
+    """(1 + ||u||) * euclidean norm of r, for ||u|| = ``norm`` and r the residual at u."""
+    return float((1.0 + norm) * np.linalg.norm(r))

@@ -43,8 +43,8 @@ from typing import Optional
 import numpy as np
 
 from .lattice import (LatticeSeq, ProblemSpec, Window, _cerami_from_residual, _diff_many,
-                      energy, energy_many, phi_p, phi_p_prime, residual_many, sup_norm,
-                      tail_mass)
+                      energy_many, energy_parts_many, phi_p, phi_p_prime, residual_many,
+                      sup_norm, tail_mass)
 
 __all__ = [
     "SolverConfig",
@@ -128,12 +128,13 @@ def _finish(v: np.ndarray, prob: ProblemSpec, cfg: SolverConfig, iterations: int
     u = LatticeSeq(prob.window, v)
     r = residual_many(v, prob)
     r_inf = float(np.max(np.abs(r)))
+    total, norm_p, _ = energy_parts_many(v, prob)  # ||u||^p summed once, for both
     h = _tail_threshold(prob.window)
     return SolveResult(
         u=u,
-        energy=energy(u, prob),
+        energy=float(total),
         residual_inf_norm=r_inf,
-        cerami_metric=_cerami_from_residual(u, prob, r),
+        cerami_metric=_cerami_from_residual(norm_p ** (1.0 / prob.p), r),
         tail_mass=tail_mass(u, h, prob.p),
         tail_threshold=h,
         iterations=iterations,

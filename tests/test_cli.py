@@ -150,8 +150,10 @@ def test_cli_type_invariant_violation_exit_code(tmp_path, capsys, line):
     assert f"'{keys[-1]}', line {len(lines)}" in capsys.readouterr().err
 
 
-# A misspelling, then solver settings that are constants in dplhom.solver.
+# A misspelling, the retired one-valued sweep.parameter (the sweep always
+# varies lambda), then solver settings that are constants in dplhom.solver.
 @pytest.mark.parametrize("line", ["solver.residul_tol = banana",
+                                  "sweep.parameter = lambda",
                                   "solver.line_search.shrink = 2.0",
                                   "solver.tail_fraction = 1.5",
                                   "solver.line_search.decrease = 0.9",
@@ -178,8 +180,10 @@ def test_cli_negative_seed_exit_code(tmp_path, capsys, command):
     assert "--seed" in capsys.readouterr().err
 
 
-# Values the library would reject with a bare ValueError, and an empty sweep;
-# the last line of each case is the one at fault.
+# Values the library would reject with a bare ValueError, an empty sweep, a
+# reversed audit grid, and sweep values that are not positive or that share an
+# output directory (lambda_1 for both); the last line of each case is the one
+# at fault.
 @pytest.mark.parametrize("command, lines", [
     ("solve", ["solve.site = 99"]),
     ("demo-inconsistency", ["demo.T1 = 2", "demo.T = 1"]),
@@ -187,7 +191,10 @@ def test_cli_negative_seed_exit_code(tmp_path, capsys, command):
     ("sequence", [f"problem.coeff.a_values = {_A22}", f"problem.coeff.b_values = {_B21}",
                   _TABLE]),
     ("sweep", ["sweep.task = check", "sweep.values ="]),
-], ids=["site", "T", "K_list", "table", "sweep"])
+    ("check", ["check.t_min = 10", "check.t_max = 1"]),
+    ("sweep", ["sweep.task = check", "sweep.values = 1, -1"]),
+    ("sweep", ["sweep.task = check", "sweep.values = 1.0000001, 1.0000002"]),
+], ids=["site", "T", "K_list", "table", "sweep", "t_max", "sweep_sign", "sweep_dirs"])
 def test_cli_out_of_range_value_names_its_key(tmp_path, capsys, command, lines):
     keys = [ln.partition("=")[0].strip() for ln in lines]
     lines = [ln for ln in PURE_POWER_LINES if ln.partition(" = ")[0] not in keys] + lines
@@ -507,6 +514,27 @@ def test_fountain_bad_n_list(tmp_path, capsys, line):
     assert f"'{line.partition(' = ')[0]}', line {len(SEQ_LINES) + 1}" in err
 
 
+# A tiny growth constant d puts r_n past float64 range: r_n^p overflows at
+# q = 2.5, and lam d beta_q^q underflows to 0 at q = 4.
+@pytest.mark.parametrize("q, d", [("2.5", "1e-200"), ("4", "5e-324")])
+def test_fountain_radius_beyond_float_range_is_a_partial_result(tmp_path, capsys, q, d):
+    cfg = write_config(tmp_path, [ln.replace("half_width = 30", "half_width = 5")
+                                  for ln in LOG_POWER_LINES]
+                       + ["fountain.n_list = 1:3", f"fountain.q = {q}", f"fountain.d = {d}"])
+    out = tmp_path / "out"
+    assert cli.run(["fountain", "--config", cfg, "--out", str(out)]) == cli.EXIT_PARTIAL
+    stdout, stderr = capsys.readouterr()
+    assert stderr == "" and stdout.endswith("no split index has a floor check; "
+                                            "see the row notes\n")
+    rows = load_json(out / "fountain_table.json")["rows"]
+    assert [r["n"] for r in rows] == [1, 2, 3]
+    for r in rows:
+        assert r["feasible"] and r["radius_z"] == math.inf
+        assert r["energy_floor"] is None and r["z_violations"] is None
+        assert r["radius_y"] is None and r["y_violations"] is None
+        assert r["note"].startswith("radius_z = inf: r_z^p is beyond float64 range")
+
+
 # ---- sweep -------------------------------------------------------------------------
 
 def test_sweep_over_lambda_emits_table_per_value(tmp_path):
@@ -534,3 +562,14 @@ def test_sweep_over_lambda_check_task(tmp_path):
     for lam in ("0.5", "2"):
         report = load_json(out / f"lambda_{lam}" / "check_report.json")
         assert report["config"]["problem.lambda"] == repr(float(lam))
+
+
+def test_shipped_sweep_config_runs(tmp_path):
+    # the README's sweep example: one fountain table per lambda value
+    out = tmp_path / "out"
+    assert run_cli("sweep", str(CONFIG_DIR / "lambda_sweep.cfg"), out) == cli.EXIT_OK
+    assert sorted(d.name for d in out.iterdir()) == ["lambda_0.5", "lambda_1", "lambda_2"]
+    for lam in ("0.5", "1", "2"):
+        table = load_json(out / f"lambda_{lam}" / "fountain_table.json")
+        assert table["config"]["problem.lambda"] == repr(float(lam))
+        assert [r["n"] for r in table["rows"]] == [1, 2, 3, 4]

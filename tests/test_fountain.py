@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dplhom import (BasisSplit, CoefficientField, CustomNonlinearity,
@@ -236,6 +236,7 @@ def test_beta_bracket_bounds_every_drawn_vector(K, p, seed):
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 40), st.integers(0, 2 ** 32 - 1))
+@example(m=5, seed=24838)  # rounding put the Picone bound 1 ulp above the Rayleigh quotient
 def test_run_bracket_at_p2_is_the_eigenvalue(m, seed):
     rng = np.random.default_rng(seed)
     a, b = rng.uniform(0.05, 5.0, m + 1), rng.uniform(0.05, 5.0, m)

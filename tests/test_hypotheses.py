@@ -74,6 +74,17 @@ def test_log_power_satisfies_main_conditions(plan, log22):
     assert 0.0 < reports["H2"].constants["d"] < 1.0
 
 
+def test_H1_refutes_a_drive_that_is_not_odd(plan):
+    # f = t^3 + t^2 is odd only at t = 0; the witness reproduces the failure
+    nl = CustomNonlinearity(2.0, lambda k, t: t ** 3 + t * t,
+                            F_scalar=lambda k, t: t ** 4 / 4 + t ** 3 / 3)
+    rep = check_hypothesis(nl, "H1", plan)
+    assert rep.refuted
+    k, t = rep.witness
+    assert k in plan.k_values and t in plan.t_values
+    assert nl.f(k, t) + nl.f(k, -t) == pytest.approx(2.0 * t * t, rel=1e-12)
+
+
 def test_log_power_fails_uniform_superlinearity(plan, log22):
     rep = check_hypothesis(log22, "H4p", plan)
     assert rep.refuted

@@ -267,6 +267,18 @@ def test_df_dt_matches_finite_differences(rng):
         assert np.allclose(got, fd, rtol=1e-5, atol=1e-8)
 
 
+def test_custom_df_dt_without_a_derivative_takes_central_differences():
+    # f = t^3 + k t has df/dt = 3 t^2 + k; the central difference with
+    # h = 1e-6 max(1, |t|) is exact on the quadratic part
+    nl = CustomNonlinearity(2.0, lambda k, t: t ** 3 + k * t,
+                            F_scalar=lambda k, t: t ** 4 / 4 + k * t * t / 2)
+    k = np.array([-2, 0, 3, 7])
+    t = np.array([-1.5, 0.0, 2.0, 40.0])
+    np.testing.assert_allclose(nl.df_dt(k, t), 3.0 * t ** 2 + k, rtol=1e-7, atol=1e-7)
+    scalar = nl.df_dt(3, 2.0)
+    assert isinstance(scalar, float) and scalar == pytest.approx(15.0, rel=1e-7)
+
+
 def test_custom_requires_vanishing_primitive():
     with pytest.raises(TypeError):
         CustomNonlinearity(2.0, lambda k, t: t ** 3)

@@ -12,7 +12,7 @@ import dplhom.lattice as lattice
 import dplhom.solver as solver
 from dplhom import (CoefficientField, CustomNonlinearity, LatticeSeq, LogPower,
                     MountainPassError, ProblemSpec, PurePower, SolutionSet, SolveResult,
-                    SolverConfig, Window, bump_amplitude, deflated_solve,
+                    SolverConfig, Window, bump_amplitude, cerami_metric, deflated_solve,
                     energy, energy_parts, find_critical_points, mountain_pass,
                     newton_solve, residual, residual_many, solution_sequence,
                     sup_norm, weighted_norm, window_continuation)
@@ -90,11 +90,14 @@ def test_newton_result_residual_independently_verified(cfg):
 
 def test_newton_evaluates_diagnostics_once_per_solve(monkeypatch, cfg):
     # the loop computes only what decides the next step; energy and the
-    # Cerami metric are evaluated once, on the returned point, and the
-    # Cerami metric reuses the residual that gives residual_inf_norm
-    calls = {"energy": 0, "_cerami_from_residual": 0, "residual_many": 0}
-    for module, name in ((solver, "energy"), (solver, "_cerami_from_residual"),
-                         (solver, "residual_many"), (lattice, "residual_many")):
+    # Cerami metric are evaluated once, on the returned point, the Cerami
+    # metric reuses the residual that gives residual_inf_norm, and ||u||^p
+    # is summed once, inside the energy, for both
+    calls = {"energy_parts_many": 0, "_cerami_from_residual": 0, "residual_many": 0,
+             "weighted_norm_many": 0}
+    for module, name in ((solver, "energy_parts_many"), (solver, "_cerami_from_residual"),
+                         (solver, "residual_many"), (lattice, "residual_many"),
+                         (lattice, "weighted_norm_many")):
         plain = getattr(module, name)
 
         def counted(*args, _name=name, _plain=plain):
@@ -105,12 +108,16 @@ def test_newton_evaluates_diagnostics_once_per_solve(monkeypatch, cfg):
     prob = make_pure_power_problem(K=2)
     res = newton_solve(LatticeSeq.spike(prob.window, 0, 1.5), prob, cfg)
     assert res.converged and res.iterations >= 3
-    assert calls["energy"] == 1 and calls["_cerami_from_residual"] == 1
+    assert calls["energy_parts_many"] == 1 and calls["_cerami_from_residual"] == 1
+    assert calls["weighted_norm_many"] == 0
     calls["residual_many"] = 0
     again = solver._finish(res.u.values, prob, cfg, res.iterations)
     assert calls["residual_many"] == 1
     assert (again.residual_inf_norm, again.cerami_metric) == (res.residual_inf_norm,
                                                               res.cerami_metric)
+    # the same bits as the energy and the Cerami metric computed on their own
+    assert res.energy == energy(res.u, prob)
+    assert res.cerami_metric == cerami_metric(res.u, prob)
 
 
 def test_cerami_bound_at_converged_point(cfg):
@@ -662,6 +669,37 @@ def test_sequence_single_target(cfg):
     assert res.energy > 0.0
     assert res.residual_inf_norm <= cfg.residual_tol
     assert res.tail_mass <= solver.TAIL_TOL
+
+
+def test_sequence_accept_refuses_a_heavy_tail_before_continuation(monkeypatch, cfg):
+    # a converged root on the window's edge keeps its mass in the tail: the
+    # decay filter refuses it without a continuation solve
+    prob = make_pure_power_problem(K=5)
+    res = newton_solve(LatticeSeq.spike(prob.window, 5, bump_amplitude(prob, 5)), prob, cfg)
+    assert res.converged and res.energy > 1e-8 and res.tail_mass > solver.TAIL_TOL
+
+    def not_called(*args):
+        raise AssertionError("window_continuation ran on a rejected root")
+
+    monkeypatch.setattr(solver, "window_continuation", not_called)
+    assert solver._sequence_accept(res, prob, cfg) is None
+
+
+@pytest.mark.parametrize("flaw", ["truncation_artifact", "not_converged", "drift"])
+def test_sequence_accept_refuses_a_failed_continuation(monkeypatch, cfg, flaw):
+    # the central rung passes every filter; the same rung with a continuation
+    # report that fails any one of its three tests is refused
+    prob = make_reference_problem(K=12)
+    res = newton_solve(LatticeSeq.spike(prob.window, 0, bump_amplitude(prob, 0)), prob, cfg)
+    accepted = solver._sequence_accept(res, prob, cfg)
+    assert accepted is not None and accepted.extras["continuation"]["half_width"] == 22
+    report = solver.window_continuation(res, prob, 22, cfg)
+    bad = {"truncation_artifact": dataclasses.replace(report, truncation_artifact=True),
+           "not_converged": dataclasses.replace(
+               report, result=dataclasses.replace(report.result, converged=False)),
+           "drift": dataclasses.replace(report, drift=solver.DRIFT_TOL)}[flaw]
+    monkeypatch.setattr(solver, "window_continuation", lambda *args: bad)
+    assert solver._sequence_accept(res, prob, cfg) is None
 
 
 def test_sequence_strictly_increasing(ref_problem, cfg):
