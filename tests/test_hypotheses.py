@@ -75,7 +75,7 @@ def test_log_power_satisfies_main_conditions(plan, log22):
 
 
 def test_H1_refutes_a_drive_that_is_not_odd(plan):
-    # f = t^3 + t^2 is odd only at t = 0; the witness reproduces the failure
+    # f = t^3 + t^2 has f(k, t) + f(k, -t) = 2 t^2; the witness reproduces it
     nl = CustomNonlinearity(2.0, lambda k, t: t ** 3 + t * t,
                             F_scalar=lambda k, t: t ** 4 / 4 + t ** 3 / 3)
     rep = check_hypothesis(nl, "H1", plan)
