@@ -35,7 +35,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .lattice import (CoefficientField, ProblemSpec, Window, _norm_gradient,
-                      energy_many, phi_p, phi_p_prime, weighted_norm_many)
+                      energy_many, energy_parts_many, phi_p, phi_p_prime,
+                      weighted_norm_many)
 
 __all__ = [
     "FountainGeometryError",
@@ -425,11 +426,30 @@ class SphereCheck:
     strong_count: Optional[int] = None
 
 
+def _sphere_energies(V: np.ndarray, prob: ProblemSpec, block: str, radius: float) -> np.ndarray:
+    """J at the sampled points; FountainGeometryError, naming what overflowed,
+    where one is not finite, since a non-finite J checks nothing."""
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite energies are refused below
+        E = energy_many(V, prob)
+        bad = ~np.isfinite(E)
+        if not bad.any():
+            return E
+        _, norm_p, source = energy_parts_many(V[bad], prob)
+    what = " and ".join(name for name, x in (("||u||^p", norm_p), ("the sum of F", source))
+                        if not np.all(np.isfinite(x))) or "J"
+    raise FountainGeometryError(
+        f"radius_{block.lower()} = {radius:.3e}: {what} is beyond float64 range at "
+        f"{int(bad.sum())} of {E.size} samples, so the {block}_n sphere is not checked")
+
+
 def verify_energy_floor(split: BasisSplit, prob: ProblemSpec, radius: float,
                         floor: float, samples: int, seed: int) -> SphereCheck:
-    """Sampled check of energy >= floor on the Z_n sphere of the given radius."""
+    """Sampled check of energy >= floor on the Z_n sphere of the given radius.
+
+    Raises FountainGeometryError where a sampled energy is not finite.
+    """
     V = sample_sphere(split, "Z", radius, samples, seed)
-    E = energy_many(V, prob)
+    E = _sphere_energies(V, prob, "Z", radius)
     i = int(np.argmin(E))
     violations = int(np.sum(E < floor - _SLACK))
     return SphereCheck(samples, float(E[i]), floor, float(E[i] - floor), violations,
@@ -441,10 +461,11 @@ def verify_energy_ceiling(split: BasisSplit, prob: ProblemSpec, radius: float,
     """Sampled check of energy <= 0 on the Y_n sphere of the given radius.
 
     Also counts how many samples satisfy the stronger bound
-    energy <= -radius^p / p.
+    energy <= -radius^p / p.  Raises FountainGeometryError where a sampled
+    energy is not finite.
     """
     V = sample_sphere(split, "Y", radius, samples, seed)
-    E = energy_many(V, prob)
+    E = _sphere_energies(V, prob, "Y", radius)
     i = int(np.argmax(E))
     violations = int(np.sum(E > _SLACK))
     strong = int(np.sum(E <= -(radius ** prob.p) / prob.p + _SLACK))
@@ -491,14 +512,18 @@ def fountain_table(prob: ProblemSpec, q: float, d: float, n_list: Sequence[int],
         c_sup = sup_norm_constant(split, lam)
         floor = None if r_z is None else _power(r_z, p) / (2.0 * p)
         z_min = z_viol = threshold = r_y = y_max = y_viol = y_strong = None
-        note = ""
+        notes = []
         if floor == math.inf:  # rho_n > r_n puts the Y_n sphere out of range too
-            floor, note = None, (f"radius_z = {r_z:.3e}: r_z^p is beyond float64 range, "
-                                 f"so neither sphere is checked")
+            floor = None
+            notes.append(f"radius_z = {r_z:.3e}: r_z^p is beyond float64 range, "
+                         f"so neither sphere is checked")
         else:
             if floor is not None:
-                zc = verify_energy_floor(split, prob, r_z, floor, samples, seed + 100 + n)
-                z_min, z_viol = zc.extreme_energy, zc.violations
+                try:
+                    zc = verify_energy_floor(split, prob, r_z, floor, samples, seed + 100 + n)
+                    z_min, z_viol = zc.extreme_energy, zc.violations
+                except FountainGeometryError as exc:
+                    notes.append(str(exc))
             try:
                 threshold = superlinearity_threshold(prob, c_sup, split.support_radius)
                 r_y = y_sphere_radius(lam, p, c_sup, threshold,
@@ -506,13 +531,13 @@ def fountain_table(prob: ProblemSpec, q: float, d: float, n_list: Sequence[int],
                 yc = verify_energy_ceiling(split, prob, r_y, samples, seed + 300 + n)
                 y_max, y_viol, y_strong = yc.extreme_energy, yc.violations, yc.strong_count
             except FountainGeometryError as exc:
-                note = str(exc)
+                notes.append(str(exc))
             except (OverflowError, FloatingPointError) as exc:  # pragma: no cover
-                note = f"amplitude beyond float range: {exc}"
+                notes.append(f"amplitude beyond float range: {exc}")
         rows.append(FountainRow(
             n=n, beta_p=bp, beta_q=bq, feasible=r_z is not None, radius_z=r_z,
             energy_floor=floor, z_min_energy=z_min, z_violations=z_viol,
             c_sup=c_sup, support_radius=split.support_radius, threshold=threshold,
             radius_y=r_y, y_max_energy=y_max, y_violations=y_viol,
-            y_strong_count=y_strong, note=note))
+            y_strong_count=y_strong, note="; ".join(notes)))
     return rows

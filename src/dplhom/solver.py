@@ -35,6 +35,7 @@ than trusting the loop's last internal values.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass, field, replace
@@ -350,7 +351,7 @@ def _canonical_values(values: np.ndarray, odd: bool, tol_rel: float = 1e-12) -> 
 
 @dataclass
 class SolutionSet:
-    """Solutions at least ``tol`` apart in the sup norm, sorted by energy.
+    """Solutions more than ``DEDUP_TOL`` apart in the sup norm, sorted by energy.
 
     With ``odd`` set (the solvers copy the drive's ``is_odd``), u and -u are
     the same physical solution: members are compared up to sign and stored
@@ -358,7 +359,6 @@ class SolutionSet:
     merging order-independent.  Without it every member keeps its own sign.
     """
 
-    tol: float = 1e-6
     warning: Optional[str] = None
     odd: bool = False
     _items: list = field(default_factory=list)
@@ -367,13 +367,14 @@ class SolutionSet:
         if self.contains_close(result.u.values):
             return False
         v = _canonical_values(result.u.values, self.odd)
-        self._items.append(replace(result, u=LatticeSeq(result.u.window, v)))
-        self._items.sort(key=lambda r: (r.energy, tuple(r.u.values)))
+        # after any equal (energy, values) key, as a stable sort would put it
+        bisect.insort(self._items, replace(result, u=LatticeSeq(result.u.window, v)),
+                      key=lambda r: (r.energy, tuple(r.u.values)))
         return True
 
     def contains_close(self, values: np.ndarray) -> bool:
         v = _canonical_values(values, self.odd)
-        return any(o.u.values.shape == v.shape and np.max(np.abs(o.u.values - v)) <= self.tol
+        return any(o.u.values.shape == v.shape and np.max(np.abs(o.u.values - v)) <= DEDUP_TOL
                    for o in self._items)
 
     @property
@@ -391,65 +392,61 @@ class SolutionSet:
         return iter(self._items)
 
 
-def bump_amplitude(prob: ProblemSpec, site: int) -> Optional[float]:
+def bump_amplitude(prob: ProblemSpec, site: int | np.ndarray) -> Optional[float] | np.ndarray:
     """Amplitude where the one-site stiffness balances the drive term.
 
     Solves a(j) + a(j+1) + b(j) times phi_p(c) = lambda f(j, c) for c > 0;
     spikes of this height are excellent Newton starts for one-bump states.
+    One site gives a float, or None where no c balances; an array of sites,
+    solved in one grid scan and one bisection, gives NaN there.
     """
-    i = prob.window.position(site)
-    stiff = float(prob.coeffs.a[i] + prob.coeffs.a[i + 1] + prob.coeffs.b[i])
+    sites = np.ravel(site)
+    i = np.array([prob.window.position(int(s)) for s in sites], dtype=int)
+    stiff = (prob.coeffs.a[i] + prob.coeffs.a[i + 1] + prob.coeffs.b[i])[:, None]
+    k = sites[:, None]
+    k.flags.writeable = False  # so a LogPower drive keeps w(k) across the steps
 
-    def gap(c):
-        return prob.lam * float(prob.nonlinearity.f(site, c)) - stiff * phi_p(prob.p, c)
+    def gap(c):  # one row per site
+        return prob.lam * prob.nonlinearity.f(k, c) - stiff * phi_p(prob.p, c)
 
     grid = np.logspace(-3.0, 16.0, 640)
-    vals = prob.lam * prob.nonlinearity.f(site, grid) - stiff * phi_p(prob.p, grid)
-    sign_change = np.nonzero((vals[:-1] <= 0.0) & (vals[1:] > 0.0))[0]
-    if sign_change.size == 0:
-        return None
-    lo, hi = grid[sign_change[0]], grid[sign_change[0] + 1]
+    vals = gap(grid[None, :])
+    change = (vals[:, :-1] <= 0.0) & (vals[:, 1:] > 0.0)
+    j = np.argmax(change, axis=1)[:, None]  # the first change; if none, 0, bisected and dropped
+    lo, hi = grid[j], grid[j + 1]
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if gap(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
-
-
-def _profile(window: Window, pattern: dict) -> np.ndarray:
-    v = np.zeros(window.size)
-    for site, amp in pattern.items():
-        v[window.position(site)] = amp
-    return v
+        up = gap(mid) > 0.0
+        lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
+    amp = np.where(change.any(axis=1), 0.5 * (lo[:, 0] + hi[:, 0]), np.nan)
+    if np.ndim(site) == 0:
+        return None if math.isnan(amp[0]) else float(amp[0])
+    return amp
 
 
 def _candidate_starts(prob: ProblemSpec, max_site: int = 3) -> list:
-    """One-site balance spikes plus sign-pattern combinations of them."""
-    K = prob.window.half_width
-    sites = [s for s in range(0, min(max_site, K) + 1)]
-    amp = {}
-    for s in sites:
-        c = bump_amplitude(prob, s)
-        if c is not None:
-            amp[s] = c
-            if s > 0:
-                amp[-s] = bump_amplitude(prob, -s) or c
+    """One-site balance spikes plus sign-pattern combinations of them.
+
+    Sites 0, 1, -1, ..., m, -m, m = min(max_site, K), get their amplitudes
+    from one ``bump_amplitude`` call; -s borrows the amplitude of s if it
+    does not balance, and neither is used if s does not.  Each {site: sign}
+    pattern, in table order, gives a start where all its sites have one.
+    """
+    m = min(max_site, prob.window.half_width)
+    sites = [0] + [s for j in range(1, m + 1) for s in (j, -j)]
+    c = dict(zip(sites, bump_amplitude(prob, np.array(sites))))
+    amp = {s: c[abs(s)] if math.isnan(c[s]) else c[s] for s in sites if not math.isnan(c[abs(s)])}
+    patterns = ([{s: 1} for s in sites]  # spikes, odd and even pairs, then sites 0 and +-1
+                + [{s: 1, -s: sign} for s in range(1, m + 1) for sign in (-1, 1)]
+                + [{0: 1, 1: 1, -1: 1}, {0: 1, 1: -1, -1: -1}, {0: -1, 1: 1, -1: 1},
+                   {0: 1, 1: 1}, {0: 1, 1: -1}])
     starts = []
-    for s, c in amp.items():
-        starts.append(_profile(prob.window, {s: c}))
-    for s in sites[1:]:
-        if s in amp and -s in amp:
-            starts.append(_profile(prob.window, {s: amp[s], -s: -amp[-s]}))   # odd pair
-            starts.append(_profile(prob.window, {s: amp[s], -s: amp[-s]}))    # even pair
-    if 0 in amp and 1 in amp and -1 in amp:
-        starts.append(_profile(prob.window, {0: amp[0], 1: amp[1], -1: amp[-1]}))
-        starts.append(_profile(prob.window, {0: amp[0], 1: -amp[1], -1: -amp[-1]}))
-        starts.append(_profile(prob.window, {0: -amp[0], 1: amp[1], -1: amp[-1]}))
-    if 0 in amp and 1 in amp:
-        starts.append(_profile(prob.window, {0: amp[0], 1: amp[1]}))
-        starts.append(_profile(prob.window, {0: amp[0], 1: -amp[1]}))
+    for pattern in patterns:
+        if pattern.keys() <= amp.keys():
+            v = np.zeros(prob.window.size)
+            for s, sign in pattern.items():
+                v[prob.window.position(s)] = sign * amp[s]
+            starts.append(v)
     return starts
 
 
@@ -462,19 +459,23 @@ def _enumerate(prob: ProblemSpec, cfg: SolverConfig, initial, starts, accept, do
     round deflates from each of ``starts`` times 1 + jitter N(0, 1), drawn
     from ``np.random.default_rng(cfg.seed)``, anchors every new converged
     root and stores the accepted ones.  Rounds stop once ``done(stored)``
-    holds, after a round that stores nothing, or at ``max_rounds``.
+    holds, after a round that stores nothing, or at ``max_rounds``.  A root
+    already stored is not passed to ``accept``, which keeps a root's values.
     """
     odd = prob.nonlinearity.is_odd
-    stored = SolutionSet(tol=DEDUP_TOL, odd=odd)
-    anchors = SolutionSet(tol=DEDUP_TOL, odd=odd)
+    stored, anchors = SolutionSet(odd=odd), SolutionSet(odd=odd)
+
+    def store(res) -> bool:
+        acc = None if stored.contains_close(res.u.values) else accept(res)
+        return acc is not None and stored.add(acc)
+
     zero = _finish(np.zeros(prob.window.size), prob, cfg, 0)
     anchors.add(zero)
     solved = (newton_solve(LatticeSeq(prob.window, v), prob, cfg)
               for v in itertools.chain(starts, extra_starts))
     for res in itertools.chain([zero], initial, solved):
-        acc = accept(res)
-        if acc is not None and stored.add(acc):
-            anchors.add(acc)
+        if store(res):
+            anchors.add(res)
     rng = np.random.default_rng(cfg.seed)
     for _ in range(max_rounds):
         if done(stored):
@@ -483,10 +484,8 @@ def _enumerate(prob: ProblemSpec, cfg: SolverConfig, initial, starts, accept, do
         for v in starts:
             u0 = LatticeSeq(prob.window, v * (1.0 + jitter * rng.standard_normal(v.shape)))
             res = deflated_solve(anchors, u0, prob, cfg)
-            if res.converged and anchors.add(res):
-                acc = accept(res)
-                if acc is not None and stored.add(acc):
-                    added = True
+            if res.converged and anchors.add(res) and store(res):
+                added = True
         if not added:
             break
     return stored
@@ -557,7 +556,7 @@ def solution_sequence(prob: ProblemSpec, cfg: SolverConfig, n_target: int) -> So
     """
     if n_target < 0:
         raise ValueError("n_target must be nonnegative")
-    out = SolutionSet(tol=DEDUP_TOL, odd=prob.nonlinearity.is_odd)
+    out = SolutionSet(odd=prob.nonlinearity.is_odd)
     if n_target == 0:
         return out
     mp = _first_pass_state(prob, cfg)

@@ -408,14 +408,19 @@ def per_point_threshold(prob, c_sup, h_n, t_lo=1e-3, t_hi=1e140, t_samples=64):
 def per_point_bump_amplitude(prob, site):
     """One-site balance amplitude by the plain scan: the gap at each grid c in turn.
 
-    Same scalar gap and the same 80 bisection steps as the library, with no
-    array evaluation of the grid.
+    Same gap and the same 80 bisection steps as the library, one point at a
+    time, with no array evaluation of the grid and no batch over sites.  Each
+    point is evaluated on one-element arrays, as the library's kernels are
+    array kernels: for a non-integer power, numpy's vectorized kernels can
+    round differently from its scalar ones.
     """
     i = prob.window.position(site)
     stiff = float(prob.coeffs.a[i] + prob.coeffs.a[i + 1] + prob.coeffs.b[i])
+    k = np.array([site])
 
     def gap(c):
-        return prob.lam * float(prob.nonlinearity.f(site, c)) - stiff * phi_p(prob.p, c)
+        c = np.array([c])
+        return prob.lam * float(prob.nonlinearity.f(k, c)[0]) - stiff * float(phi_p(prob.p, c)[0])
 
     grid = np.logspace(-3.0, 16.0, 640)
     vals = np.array([gap(c) for c in grid])
@@ -430,6 +435,42 @@ def per_point_bump_amplitude(prob, site):
         else:
             lo = mid
     return 0.5 * (lo + hi)
+
+
+def _profile(window, pattern):
+    v = np.zeros(window.size)
+    for site, amp in pattern.items():
+        v[window.position(site)] = amp
+    return v
+
+
+def site_by_site_candidate_starts(prob, max_site=3):
+    """Reference for ``solver._candidate_starts``: one scalar amplitude solve per
+    site, by ``per_point_bump_amplitude``, and each multi-site start written out."""
+    K = prob.window.half_width
+    sites = [s for s in range(0, min(max_site, K) + 1)]
+    amp = {}
+    for s in sites:
+        c = per_point_bump_amplitude(prob, s)
+        if c is not None:
+            amp[s] = c
+            if s > 0:
+                amp[-s] = per_point_bump_amplitude(prob, -s) or c
+    starts = []
+    for s, c in amp.items():
+        starts.append(_profile(prob.window, {s: c}))
+    for s in sites[1:]:
+        if s in amp and -s in amp:
+            starts.append(_profile(prob.window, {s: amp[s], -s: -amp[-s]}))   # odd pair
+            starts.append(_profile(prob.window, {s: amp[s], -s: amp[-s]}))    # even pair
+    if 0 in amp and 1 in amp and -1 in amp:
+        starts.append(_profile(prob.window, {0: amp[0], 1: amp[1], -1: amp[-1]}))
+        starts.append(_profile(prob.window, {0: amp[0], 1: -amp[1], -1: -amp[-1]}))
+        starts.append(_profile(prob.window, {0: -amp[0], 1: amp[1], -1: amp[-1]}))
+    if 0 in amp and 1 in amp:
+        starts.append(_profile(prob.window, {0: amp[0], 1: amp[1]}))
+        starts.append(_profile(prob.window, {0: amp[0], 1: -amp[1]}))
+    return starts
 
 
 def power_method_lower_bound(A_Z, q, starts=8, seed=0, iters=2000):

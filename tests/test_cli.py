@@ -446,6 +446,20 @@ def test_save_json_tags_each_non_finite_float(tmp_path):
     assert math.isnan(back["rows"][0][0]) and back["rows"][1] == math.inf
 
 
+def test_sequence_short_of_its_target_is_a_partial_result(tmp_path, capsys):
+    # K = 8 holds one rung the search reaches: its records are written and
+    # the run exits 1 with the warning
+    cfg = write_config(tmp_path, [ln.replace("half_width = 12", "half_width = 8")
+                                  for ln in SEQ_LINES])
+    out = tmp_path / "out"
+    assert cli.run(["sequence", "--config", cfg, "--out", str(out)]) == cli.EXIT_PARTIAL
+    stdout, stderr = capsys.readouterr()
+    assert stderr == "" and stdout.endswith(
+        "warning: found 1 of 2 requested solutions before the search budget ran out\n")
+    assert len((out / "sequence_summary.csv").read_text().splitlines()) == 2
+    assert verify_record(load_json(out / "solution_000.json"))["energy"] <= 1e-12
+
+
 def test_sequence_zero_target(tmp_path):
     cfg = write_config(tmp_path, SEQ_LINES, name="z.cfg")
     cfgtext = (tmp_path / "z.cfg").read_text().replace("sequence.n_target = 2",
@@ -533,6 +547,51 @@ def test_fountain_radius_beyond_float_range_is_a_partial_result(tmp_path, capsys
         assert r["energy_floor"] is None and r["z_violations"] is None
         assert r["radius_y"] is None and r["y_violations"] is None
         assert r["note"].startswith("radius_z = inf: r_z^p is beyond float64 range")
+
+
+# F overflows on the sampled spheres before r_n^p leaves float64 range.  At
+# d = 1e-77 no row keeps a floor check.  At d = 3e-77 row n = 1 keeps both
+# checks: its energies are finite, down to -1.5e307 against a floor of
+# 4.1e304, so its floor violations are real (d is far below the growth of F).
+@pytest.mark.parametrize("d, code, n_checked",
+                         [("1e-77", cli.EXIT_PARTIAL, 0), ("3e-77", cli.EXIT_REFUTED, 1)],
+                         ids=["1e-77", "3e-77"])
+def test_fountain_sphere_energies_beyond_float_range_are_not_checked(tmp_path, capsys, d, code,
+                                                                       n_checked):
+    cfg = write_config(tmp_path, [ln.replace("half_width = 30", "half_width = 5")
+                                  for ln in LOG_POWER_LINES]
+                       + ["fountain.n_list = 1:3", "fountain.q = 2.5", f"fountain.d = {d}"])
+    out = tmp_path / "out"
+    assert cli.run(["fountain", "--config", cfg, "--out", str(out)]) == code
+    stdout, stderr = capsys.readouterr()  # tier-1 makes any numpy warning an error
+    assert stderr == ""
+    partial = stdout.endswith("no split index has a floor check; see the row notes\n")
+    assert partial == (n_checked == 0)
+    rows = load_json(out / "fountain_table.json")["rows"]
+    for r in rows[:n_checked]:
+        assert r["note"] == "" and r["y_violations"] == 0
+        assert r["z_violations"] == 1000 and -math.inf < r["z_min_energy"] < r["energy_floor"]
+    for r in rows[n_checked:]:
+        assert r["z_violations"] is None and r["y_violations"] is None
+        assert r["z_min_energy"] is None and r["y_max_energy"] is None
+        assert ("r_z^p is beyond float64 range" in r["note"]
+                or re.fullmatch(r"radius_z = \S+: the sum of F is beyond float64 range at \d+ of "
+                                r"1000 samples, so the Z_n sphere is not checked; radius_y = \S+: "
+                                r"the sum of F is beyond float64 range at \d+ of 1000 samples, "
+                                r"so the Y_n sphere is not checked", r["note"]))
+    assert any("the sum of F" in r["note"] for r in rows)
+
+
+def test_fountain_real_floor_violation_is_refuted(tmp_path):
+    # d = 0.01 is below the growth of F = t^4 / 4 (H2 needs d >= 1/4), so the
+    # energies on the Z_n spheres fall below the floor r_n^2 / 4 they promise
+    cfg = write_config(tmp_path, PURE_POWER_LINES + [
+        "fountain.n_list = 1:3", "fountain.samples = 200", "fountain.d = 0.01"])
+    out = tmp_path / "out"
+    assert run_cli("fountain", cfg, out) == cli.EXIT_REFUTED
+    for r in load_json(out / "fountain_table.json")["rows"]:
+        assert r["note"] == "" and r["y_violations"] == 0
+        assert r["z_violations"] > 0 and r["z_min_energy"] < r["energy_floor"]
 
 
 # ---- sweep -------------------------------------------------------------------------

@@ -152,6 +152,28 @@ def test_h5_sign_violation_reported(plan):
     assert nl.curly_F(k, t) < -1e-9
 
 
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_H3_refutes_a_drive_of_order_p_minus_1_at_zero(plan, p):
+    # f = phi_p(t) keeps f / |t|^(p-1) at 1 down to the smallest sampled |t|
+    nl = pure_p_power(p)
+    rep = check_hypothesis(nl, "H3", plan)
+    assert rep.refuted
+    k, t = rep.witness
+    assert k in plan.k_values and abs(t) == np.min(np.abs(plan.small_t()))
+    assert abs(nl.f(k, t)) / abs(t) ** (p - 1.0) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_h5_vanishing_base_refuted(plan):
+    # F = t^4 on |t| < 1 and t^2 beyond (p = 2): curly_F = 2 t^4 inside and
+    # exactly 0 outside, so no finite sigma bounds curly_F(k, st) / curly_F(k, t)
+    nl = CustomNonlinearity(2.0, lambda k, t: 4.0 * t ** 3 if abs(t) < 1.0 else 2.0 * t,
+                            F_scalar=lambda k, t: t ** 4 if abs(t) < 1.0 else t * t, odd=True)
+    rep = check_hypothesis(nl, "H5", plan)
+    assert rep.refuted and rep.detail == "curly_F vanishes at (k,t) but not at (k,st)"
+    k, t, s = rep.witness
+    assert nl.curly_F(k, t) == 0.0 and nl.curly_F(k, s * t) > 1e-6
+
+
 def test_positivity_log_power(plan, log22):
     rep = positivity_check(log22, plan)
     assert rep.passed

@@ -22,7 +22,7 @@ from conftest import (make_constant_problem, make_pure_power_problem,
                       make_reference_problem, random_problem)
 from oracles import (dense_deflated_step, literal_deflation, multistart_flow_newton,
                      per_point_bump_amplitude, rebuilt_jacobian_bands, rebuilt_residual_many,
-                     sequential_newton_values, sets_match)
+                     sequential_newton_values, sets_match, site_by_site_candidate_starts)
 
 
 @pytest.fixture(scope="module")
@@ -483,7 +483,7 @@ def test_anchor_rows_are_unique():
     assert anchors.shape == (3, 3)
     assert {tuple(row) for row in anchors} == {tuple(w), tuple(-w), (0.0, 0.0, 0.0)}
     window = Window(1)
-    sols = SolutionSet(tol=1e-6)
+    sols = SolutionSet()
     sols.add(_stored(window, 0, 1.0))
     sols.add(_stored(window, 1, 2.0))
     assert _anchor_values(sols, True).shape == (4, 3)
@@ -571,13 +571,13 @@ def test_solution_set_sign_dedup(cfg):
     prob = make_pure_power_problem(K=2)
     res = newton_solve(LatticeSeq.spike(prob.window, 0, 1.5), prob, cfg)
     negated = newton_solve(-res.u, prob, cfg)
-    sols = SolutionSet(tol=1e-6, odd=prob.nonlinearity.is_odd)
+    sols = SolutionSet(odd=prob.nonlinearity.is_odd)
     assert sols.add(res)
     assert sols.contains_close(negated.u.values)
     assert not sols.add(negated)
     assert len(sols) == 1
     # a set not told the drive is odd keeps both signs
-    plain = SolutionSet(tol=1e-6)
+    plain = SolutionSet()
     assert plain.add(res) and plain.add(negated)
     assert len(plain) == 2
 
@@ -594,7 +594,7 @@ def test_solution_set_merge_order_independent(cfg):
     prob = make_pure_power_problem(K=2)
     found = find_critical_points(prob, cfg, random_starts=40, amplitude=2.5,
                                  max_rounds=1)
-    a, b = SolutionSet(tol=1e-6), SolutionSet(tol=1e-6)
+    a, b = SolutionSet(), SolutionSet()
     for r in found.results:
         a.add(r)
     for r in reversed(found.results):
@@ -610,11 +610,40 @@ def _stored(window, site, energy):
                        tail_threshold=0, iterations=0, converged=True)
 
 
+_SHAPES = (np.array([0.0, 0.0, 1.5, 0.0, 0.0]), np.array([0.0, 1.0, 0.5, 0.0, 0.0]),
+           np.array([0.25, 0.0, 0.0, -1.0, 0.0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, len(_SHAPES) - 1), st.booleans(),
+                          st.sampled_from([-1.0, 1.0]), st.sampled_from([0.0, 5e-7, 2e-6]),
+                          st.sampled_from([0.5, 1.0, 2.0])), max_size=12),
+       st.booleans())
+def test_solution_set_order_is_a_stable_sort_after_each_add(draws, odd):
+    # equal energies, mirror images u(-k), negations and shifts within and
+    # past DEDUP_TOL: after each add the members stand where a stable sort on
+    # (energy, values) of the members before it plus the new one puts them
+    window = Window(2)
+    sols = SolutionSet(odd=odd)
+    for shape, mirror, sign, shift, J in draws:
+        v = sign * (_SHAPES[shape][::-1] if mirror else _SHAPES[shape]) + shift
+        before = list(sols)
+        res = SolveResult(u=LatticeSeq(window, v), energy=J, residual_inf_norm=0.0,
+                          cerami_metric=0.0, tail_mass=0.0, tail_threshold=0, iterations=0,
+                          converged=True)
+        expected = before
+        if sols.add(res):
+            new = [r for r in sols if not any(r is b for b in before)]
+            assert len(new) == 1
+            expected = sorted(before + new, key=lambda r: (r.energy, tuple(r.u.values)))
+        assert [id(r) for r in sols] == [id(r) for r in expected]
+
+
 def test_strict_ladder_treats_rounding_level_gaps_as_equal():
     # mirror-image rungs of equal true energy whose computed energies differ
     # in the last bits (seen at K=100 with lambda=1, b=1+|k|^1.5, mu=2.5)
     window = Window(3)
-    pool = SolutionSet(tol=1e-6)
+    pool = SolutionSet()
     for site, J in ((0, 1.25e8), (1, 261142232.44972134), (-1, 261142232.4497223),
                     (2, 261142300.0)):
         pool.add(_stored(window, site, J))
@@ -624,7 +653,7 @@ def test_strict_ladder_treats_rounding_level_gaps_as_equal():
 
 def test_strict_ladder_gap_is_absolute_below_unit_energy():
     window = Window(3)
-    pool = SolutionSet(tol=1e-6)
+    pool = SolutionSet()
     for site, J in ((0, 0.5), (1, 0.5 + 5e-9), (-1, 0.5 + 2e-8), (2, 3.0)):
         pool.add(_stored(window, site, J))
     assert [r.energy for r in _strict_ladder(pool)] == [0.5, 0.5 + 2e-8, 3.0]
@@ -641,18 +670,63 @@ def test_bump_amplitude_closed_form(ref_problem):
 
 
 @pytest.mark.parametrize("make", [
-    lambda rng: make_reference_problem(K=6),
+    lambda rng: make_reference_problem(K=6),  # sites |k| >= 3 do not balance
     lambda rng: make_pure_power_problem(K=3, q=3.0),
     lambda rng: make_constant_problem(K=3, nl=_asymmetric_drive()),
     lambda rng: random_problem(rng, K=4),
     lambda rng: random_problem(rng, K=4, p=3.0),
+    lambda rng: make_constant_problem(K=3, nl=_two_balance_drive()),
 ])
 def test_bump_amplitude_matches_per_point_scan(make, rng):
-    # the grid is evaluated as one array; the arithmetic per point is the
-    # scalar scan's, so the amplitudes must agree exactly
+    # the grid is evaluated as one array, and an array of sites in one scan
+    # and one bisection; the arithmetic per point is the per-point scan's, so
+    # the amplitudes must agree exactly, one site at a time and as an array,
+    # with NaN in the array where the scan has None
     prob = make(rng)
-    for site in range(-3, 4):
-        assert bump_amplitude(prob, site) == per_point_bump_amplitude(prob, site)
+    sites = np.arange(-3, 4)
+    want = [per_point_bump_amplitude(prob, int(s)) for s in sites]
+    assert [bump_amplitude(prob, int(s)) for s in sites] == want
+    got = bump_amplitude(prob, sites)
+    assert got.shape == sites.shape
+    assert np.array_equal(got, [np.nan if w is None else w for w in want], equal_nan=True)
+
+
+def test_bump_amplitude_names_a_site_outside_the_window():
+    prob = make_reference_problem(K=3)
+    with pytest.raises(ValueError, match="index -4 outside window of half-width 3"):
+        bump_amplitude(prob, np.array([0, 2, -4, 1]))
+
+
+def _one_sided_problem(site):
+    # the reference drive on K = 4 with b = 200 at ``site``: ln(1 + c^2) =
+    # 202 / w there, so c is far past the 1e16 end of the amplitude grid
+    window = Window(4)
+    b = 1.0 + window.indices.astype(float) ** 2
+    b[window.position(site)] = 200.0
+    coeffs = CoefficientField.from_arrays(window, np.ones(window.size + 1), b)
+    prob = ProblemSpec(2.0, 1.0, coeffs, LogPower(2.0, 2.0, 2.0))
+    assert bump_amplitude(prob, site) is None and bump_amplitude(prob, -site) is not None
+    return prob
+
+
+@pytest.mark.parametrize("make, max_site", [
+    (lambda: make_reference_problem(K=6), 4),  # sites |k| >= 3 do not balance
+    (lambda: make_reference_problem(K=50), 3),
+    (lambda: make_pure_power_problem(K=2), 3),  # max_site past K
+    (lambda: make_pure_power_problem(K=6, q=3.0), 4),
+    (lambda: _one_sided_problem(-1), 3),  # -1 takes the amplitude of 1
+    (lambda: _one_sided_problem(1), 3),  # 1 does not balance, so neither of +-1 is used
+], ids=["reference_K6", "reference_K50", "pure_power_K2", "pure_power_K6_q3", "minus_one_borrows",
+        "plus_one_unbalanced"])
+def test_candidate_starts_match_the_site_by_site_reference(make, max_site, monkeypatch):
+    # one amplitude solve for all sites, and the starts of the reference, in its order
+    prob = make()
+    calls = _spy(monkeypatch, "bump_amplitude")
+    got = solver._candidate_starts(prob, max_site)
+    want = site_by_site_candidate_starts(prob, max_site)
+    assert len(calls) == 1
+    assert len(got) == len(want) > 0
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def test_bump_amplitude_none_without_superlinearity():
@@ -757,6 +831,24 @@ def test_enumerate_anchors_the_roots_it_rejects(monkeypatch):
     assert n_anchors == sorted(n_anchors)
 
 
+def test_enumerate_checks_a_root_only_until_it_is_stored(cfg):
+    # random starts reach some roots many times; accept, which may run a
+    # continuation solve, sees none of them again once it is stored
+    prob = make_pure_power_problem(K=2)
+    kept = SolutionSet(odd=True)
+
+    def accept(res):
+        assert not kept.contains_close(res.u.values)
+        return res if res.converged and kept.add(res) else None
+
+    extra = np.random.default_rng(0).uniform(-2.0, 2.0, size=(60, prob.window.size))
+    stored = solver._enumerate(prob, cfg, [], solver._candidate_starts(prob), accept=accept,
+                               done=lambda stored: False, max_rounds=2, jitter=0.0,
+                               extra_starts=extra)
+    assert len(stored) == len(kept) > 10
+    assert all(np.array_equal(a.u.values, b.u.values) for a, b in zip(stored, kept))
+
+
 def test_find_critical_points_deflates_from_the_bump_starts_only(monkeypatch, cfg):
     # random starts feed the multistart only: one deflation round makes one
     # deflated solve per bump start, however many random starts there are
@@ -771,6 +863,14 @@ def test_find_critical_points_deflates_from_the_bump_starts_only(monkeypatch, cf
     monkeypatch.setattr(solver, "deflated_solve", counted)
     find_critical_points(prob, cfg, random_starts=60, max_rounds=1)
     assert len(calls) == len(solver._candidate_starts(prob, 3))
+
+
+def _two_balance_drive():
+    # with stiffness 3 the gap f - 3t is t (t - 1)(t - 2)(t - 3): it turns
+    # positive at c = 1 and again at c = 3, and the amplitude is the first
+    return CustomNonlinearity(2.0, lambda k, t: t ** 4 - 6 * t ** 3 + 11 * t * t - 3 * t,
+                              F_scalar=lambda k, t: t ** 5 / 5 - 1.5 * t ** 4 + 11 * t ** 3 / 3
+                              - 1.5 * t * t)
 
 
 def _asymmetric_drive():
@@ -796,6 +896,51 @@ def test_every_returned_member_is_a_root(odd):
         for r in sols:
             assert float(np.max(np.abs(residual_many(r.u.values, prob)))) <= cfg.residual_tol
             assert energy(r.u, prob) == pytest.approx(r.energy, rel=1e-12)
+
+
+def _spy(monkeypatch, name, replacement=None):
+    """Record the calls of ``solver.<name>``; run ``replacement`` in its place if given."""
+    calls = []
+    target = replacement or getattr(solver, name)
+
+    def recorded(*args):
+        calls.append(args)
+        return target(*args)
+
+    monkeypatch.setattr(solver, name, recorded)
+    return calls
+
+
+def test_sequence_without_a_negative_spike_skips_the_mountain_pass(monkeypatch, cfg):
+    # the drive vanishes at site 0, so the spike there never reaches negative
+    # energy and there is no mountain pass; the bump starts at the other
+    # sites still find the rungs
+    nl = CustomNonlinearity(2.0, lambda k, t: t ** 3 if k else 0.0,
+                            F_scalar=lambda k, t: t ** 4 / 4 if k else 0.0,
+                            df_scalar=lambda k, t: 3 * t * t if k else 0.0, odd=True)
+    prob = ProblemSpec(2.0, 1.0, CoefficientField.polynomial(Window(8), exponent=2.0), nl)
+    passes = _spy(monkeypatch, "mountain_pass")
+    assert solver._first_pass_state(prob, cfg) is None
+    sols = solution_sequence(prob, cfg, 2)
+    assert passes == [] and sols.warning is None
+    np.testing.assert_allclose(sols.energies, [3.044347996551262, 5.08178972262296],
+                               rtol=1e-9)
+
+
+def test_sequence_after_a_failed_mountain_pass_runs_the_bump_starts(monkeypatch, cfg):
+    # the mountain pass raises; the sequence goes on from the bump starts and
+    # finds the same first rung
+    prob = make_reference_problem(K=12)
+    want = solution_sequence(prob, cfg, 2)
+
+    def no_pass(*args):
+        raise MountainPassError("no pass")
+
+    passes = _spy(monkeypatch, "mountain_pass", no_pass)
+    assert solver._first_pass_state(prob, cfg) is None
+    sols = solution_sequence(prob, cfg, 2)
+    assert len(passes) == 2 and sols.warning is None
+    np.testing.assert_allclose(sols.energies, want.energies, rtol=1e-9)
 
 
 def test_sequence_zero_target(ref_problem, cfg):
