@@ -397,28 +397,28 @@ def bump_amplitude(prob: ProblemSpec, site: int | np.ndarray) -> Optional[float]
 
     Solves a(j) + a(j+1) + b(j) times phi_p(c) = lambda f(j, c) for c > 0;
     spikes of this height are excellent Newton starts for one-bump states.
-    One site gives a float, or None where no c balances; an array of sites,
-    solved in one grid scan and one bisection, gives NaN there.
+    One site gives a float, or None where no c balances; an array of sites
+    gives NaN there.  Each site bisects in scalar arithmetic: for a
+    non-integer power numpy's array kernels can round an ulp away from it.
     """
-    sites = np.ravel(site)
-    i = np.array([prob.window.position(int(s)) for s in sites], dtype=int)
-    stiff = (prob.coeffs.a[i] + prob.coeffs.a[i + 1] + prob.coeffs.b[i])[:, None]
-    k = sites[:, None]
-    k.flags.writeable = False  # so a LogPower drive keeps w(k) across the steps
-
-    def gap(c):  # one row per site
+    def gap(k, stiff, c):
         return prob.lam * prob.nonlinearity.f(k, c) - stiff * phi_p(prob.p, c)
 
     grid = np.logspace(-3.0, 16.0, 640)
-    vals = gap(grid[None, :])
-    change = (vals[:, :-1] <= 0.0) & (vals[:, 1:] > 0.0)
-    j = np.argmax(change, axis=1)[:, None]  # the first change; if none, 0, bisected and dropped
-    lo, hi = grid[j], grid[j + 1]
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        up = gap(mid) > 0.0
-        lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
-    amp = np.where(change.any(axis=1), 0.5 * (lo[:, 0] + hi[:, 0]), np.nan)
+    sites = np.ravel(site).tolist()
+    amp = np.full(len(sites), np.nan)
+    for n, k in enumerate(sites):
+        i = prob.window.position(k)
+        stiff = float(prob.coeffs.a[i] + prob.coeffs.a[i + 1] + prob.coeffs.b[i])
+        vals = gap(k, stiff, grid)
+        change = np.nonzero((vals[:-1] <= 0.0) & (vals[1:] > 0.0))[0]
+        if change.size == 0:
+            continue
+        lo, hi = grid[change[0]], grid[change[0] + 1]
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (lo, mid) if gap(k, stiff, mid) > 0.0 else (mid, hi)
+        amp[n] = 0.5 * (lo + hi)
     if np.ndim(site) == 0:
         return None if math.isnan(amp[0]) else float(amp[0])
     return amp
@@ -455,27 +455,23 @@ def _enumerate(prob: ProblemSpec, cfg: SolverConfig, initial, starts, accept, do
     """Multistart Newton over ``starts`` then ``extra_starts``; deflation rounds over ``starts``.
 
     Zero is an anchor.  Zero, each ``initial`` result and each multistart
-    root is stored, and anchored, if ``accept`` returns a result for it.  A
-    round deflates from each of ``starts`` times 1 + jitter N(0, 1), drawn
-    from ``np.random.default_rng(cfg.seed)``, anchors every new converged
-    root and stores the accepted ones.  Rounds stop once ``done(stored)``
-    holds, after a round that stores nothing, or at ``max_rounds``.  A root
-    already stored is not passed to ``accept``, which keeps a root's values.
+    root not yet stored is stored, and anchored, if ``accept`` returns a
+    result for it.  A round deflates from each of ``starts`` times 1 +
+    jitter N(0, 1), drawn from ``np.random.default_rng(cfg.seed)``, anchors
+    every new converged root and stores the accepted ones.  Rounds stop once
+    ``done(stored)`` holds, after a round that stores nothing, or at
+    ``max_rounds``.
     """
     odd = prob.nonlinearity.is_odd
     stored, anchors = SolutionSet(odd=odd), SolutionSet(odd=odd)
-
-    def store(res) -> bool:
-        acc = None if stored.contains_close(res.u.values) else accept(res)
-        return acc is not None and stored.add(acc)
-
     zero = _finish(np.zeros(prob.window.size), prob, cfg, 0)
     anchors.add(zero)
     solved = (newton_solve(LatticeSeq(prob.window, v), prob, cfg)
               for v in itertools.chain(starts, extra_starts))
     for res in itertools.chain([zero], initial, solved):
-        if store(res):
-            anchors.add(res)
+        acc = None if stored.contains_close(res.u.values) else accept(res)
+        if acc is not None and stored.add(acc):
+            anchors.add(acc)
     rng = np.random.default_rng(cfg.seed)
     for _ in range(max_rounds):
         if done(stored):
@@ -484,8 +480,10 @@ def _enumerate(prob: ProblemSpec, cfg: SolverConfig, initial, starts, accept, do
         for v in starts:
             u0 = LatticeSeq(prob.window, v * (1.0 + jitter * rng.standard_normal(v.shape)))
             res = deflated_solve(anchors, u0, prob, cfg)
-            if res.converged and anchors.add(res) and store(res):
-                added = True
+            if res.converged and anchors.add(res):
+                acc = accept(res)
+                if acc is not None and stored.add(acc):
+                    added = True
         if not added:
             break
     return stored

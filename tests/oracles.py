@@ -408,19 +408,14 @@ def per_point_threshold(prob, c_sup, h_n, t_lo=1e-3, t_hi=1e140, t_samples=64):
 def per_point_bump_amplitude(prob, site):
     """One-site balance amplitude by the plain scan: the gap at each grid c in turn.
 
-    Same gap and the same 80 bisection steps as the library, one point at a
-    time, with no array evaluation of the grid and no batch over sites.  Each
-    point is evaluated on one-element arrays, as the library's kernels are
-    array kernels: for a non-integer power, numpy's vectorized kernels can
-    round differently from its scalar ones.
+    Same scalar gap and the same 80 bisection steps as the library, with no
+    array evaluation of the grid.
     """
     i = prob.window.position(site)
     stiff = float(prob.coeffs.a[i] + prob.coeffs.a[i + 1] + prob.coeffs.b[i])
-    k = np.array([site])
 
     def gap(c):
-        c = np.array([c])
-        return prob.lam * float(prob.nonlinearity.f(k, c)[0]) - stiff * float(phi_p(prob.p, c)[0])
+        return prob.lam * float(prob.nonlinearity.f(site, c)) - stiff * phi_p(prob.p, c)
 
     grid = np.logspace(-3.0, 16.0, 640)
     vals = np.array([gap(c) for c in grid])

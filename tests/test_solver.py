@@ -676,12 +676,14 @@ def test_bump_amplitude_closed_form(ref_problem):
     lambda rng: random_problem(rng, K=4),
     lambda rng: random_problem(rng, K=4, p=3.0),
     lambda rng: make_constant_problem(K=3, nl=_two_balance_drive()),
+    lambda rng: make_pure_power_problem(K=3, q=2.4),  # non-integer powers
+    lambda rng: make_constant_problem(K=3, p=1.5, nl=LogPower(1.5, 2.5, 2.0)),
 ])
 def test_bump_amplitude_matches_per_point_scan(make, rng):
-    # the grid is evaluated as one array, and an array of sites in one scan
-    # and one bisection; the arithmetic per point is the per-point scan's, so
-    # the amplitudes must agree exactly, one site at a time and as an array,
-    # with NaN in the array where the scan has None
+    # the grid is evaluated as one array; the bisection, for each site of an
+    # array too, is the scan's scalar arithmetic, so the amplitudes must agree
+    # exactly, with non-integer powers too, one site at a time and as an
+    # array, with NaN in the array where the scan has None
     prob = make(rng)
     sites = np.arange(-3, 4)
     want = [per_point_bump_amplitude(prob, int(s)) for s in sites]
