@@ -24,6 +24,13 @@ rho_n > max((lam p C_n)^(1/p) T, r_n) at which the energy is nonpositive.
 C_n is exact: one sign vertex attains it (see ``sup_norm_constant``).  The
 betas are certified upper bounds (see ``embedding_profile``), so the energy
 floor on the Z_n sphere follows from them; the sphere sampling re-checks it.
+
+Both sphere checks draw their normals at once, then build and evaluate
+the samples _SPHERE_BLOCK rows at a time, with F on the block's sites
+only; the threshold scan evaluates F at one k when the drive has a
+``weight``.  Every row is the same, bit for bit, as with one full-width
+sample and the full k block (see ``_sphere_energies`` and
+``superlinearity_threshold`` for why).
 """
 
 from __future__ import annotations
@@ -69,6 +76,10 @@ _SCREEN_RTOL = 1e-6
 # _T_SAMPLES points of [T, 10T].
 _T_SEARCH_MIN = 1e-3
 _T_SAMPLES = 64
+# Sphere samples are built and checked this many rows at a time, so that a
+# block of full-width rows (200 KB at 101 sites) and its temporaries stay in
+# a core's cache through a pass; 128 and 512 rows were slower.
+_SPHERE_BLOCK = 256
 
 
 class FountainGeometryError(RuntimeError):
@@ -77,10 +88,10 @@ class FountainGeometryError(RuntimeError):
 
 def spiral_sites(window: Window) -> np.ndarray:
     """Site order 0, 1, -1, 2, -2, ..., K, -K."""
-    out = [0]
-    for k in range(1, window.half_width + 1):
-        out.extend((k, -k))
-    return np.array(out, dtype=int)
+    out = np.zeros(window.size, dtype=int)
+    out[1::2] = np.arange(1, window.half_width + 1)
+    out[2::2] = -out[1::2]
+    return out
 
 
 @dataclass(frozen=True)
@@ -329,8 +340,18 @@ def superlinearity_threshold(prob: ProblemSpec, c_sup: float, h_n: int,
     When no T passes, the error says why: which of F and 2 C_n |t|^p first
     left float64 range, and at which grid T, or else the margin still
     reached at ``t_hi``.
+
+    Where the drive has a ``weight`` (F = w(k) G(t), G >= 0, 0 < w <= 1),
+    F is evaluated at the one k of least w on |k| <= h_n.  Rounding is
+    monotone, so there F is least at every t, and finite wherever any F is:
+    every pass, screen and overflow decision, and the margin in the error,
+    is the one the full k block gives.  Other drives use the full block.
     """
-    k = np.arange(-h_n, h_n + 1)[:, None]
+    k = np.arange(-h_n, h_n + 1)
+    w = prob.nonlinearity.weight(k)
+    if w is not None:  # F = w(k) G(t): the least w(k) decides every test
+        k = k[[int(np.argmin(w))]]
+    k = k[:, None]
     k.flags.writeable = False  # so a LogPower drive keeps w(k) across the probes
 
     def margins(ts: np.ndarray):
@@ -395,24 +416,41 @@ def y_sphere_radius(lam: float, p: float, c_sup: float, threshold: float,
     return 1.01 * max((lam * p * c_sup) ** (1.0 / p) * threshold, radius_z)
 
 
+def _block_sites(split: BasisSplit, block: str) -> np.ndarray:
+    if block not in ("Y", "Z"):
+        raise ValueError("block must be 'Y' or 'Z'")
+    return split.y_sites if block == "Y" else split.z_sites
+
+
+def _sphere_blocks(split: BasisSplit, sites: np.ndarray, radius: float, count: int, seed: int):
+    """``sample_sphere``'s rows on ``sites``, _SPHERE_BLOCK at a time (one empty
+    block for count 0).
+
+    All the normals are drawn first, so the stream is that of one draw; every
+    later step acts on each row alone, so a row keeps its bits in any block.
+    """
+    coords = np.random.default_rng(seed).standard_normal((count, sites.size))
+    spike_norms = split.spike_norms(sites)
+    for start in range(0, max(count, 1), _SPHERE_BLOCK):
+        c = coords[start:start + _SPHERE_BLOCK]
+        c[np.all(c == 0.0, axis=-1), 0] = 1.0
+        c /= spike_norms
+        V = _embed(split.window, sites, c)
+        V *= (radius / weighted_norm_many(V, split.coeffs, split.p))[:, None]
+        yield V
+
+
 def sample_sphere(split: BasisSplit, block: str, radius: float, count: int,
                   seed: int) -> np.ndarray:
     """Uniform-direction samples on a block sphere of the weighted norm.
 
     Directions are independent standard normals in the spike-basis
     coordinates of the block, then scaled radially to the requested norm.
+    The rows are built in blocks of _SPHERE_BLOCK, as the sphere checks use
+    them; each row is the same, bit for bit, as in a one-shot build.
     """
-    if block not in ("Y", "Z"):
-        raise ValueError("block must be 'Y' or 'Z'")
-    sites = split.y_sites if block == "Y" else split.z_sites
-    rng = np.random.default_rng(seed)
-    coords = rng.standard_normal((count, sites.size))
-    degenerate = np.all(coords == 0.0, axis=-1)
-    coords[degenerate, 0] = 1.0
-    coords /= split.spike_norms(sites)[None, :]
-    V = _embed(split.window, sites, coords)
-    V *= (radius / weighted_norm_many(V, split.coeffs, split.p))[:, None]
-    return V
+    sites = _block_sites(split, block)
+    return np.concatenate(list(_sphere_blocks(split, sites, radius, count, seed)))
 
 
 @dataclass(frozen=True)
@@ -426,34 +464,56 @@ class SphereCheck:
     strong_count: Optional[int] = None
 
 
-def _sphere_energies(V: np.ndarray, prob: ProblemSpec, block: str, radius: float) -> np.ndarray:
-    """J at the sampled points; FountainGeometryError, naming what overflowed,
-    where one is not finite, since a non-finite J checks nothing."""
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite energies are refused below
-        E = energy_many(V, prob)
-        bad = ~np.isfinite(E)
-        if not bad.any():
-            return E
-        _, norm_p, source = energy_parts_many(V[bad], prob)
-    what = " and ".join(name for name, x in (("||u||^p", norm_p), ("the sum of F", source))
-                        if not np.all(np.isfinite(x))) or "J"
-    raise FountainGeometryError(
-        f"radius_{block.lower()} = {radius:.3e}: {what} is beyond float64 range at "
-        f"{int(bad.sum())} of {E.size} samples, so the {block}_n sphere is not checked")
+def _sphere_energies(split: BasisSplit, prob: ProblemSpec, block: str, radius: float,
+                     count: int, seed: int, pick):
+    """(E, i, row): J at ``sample_sphere``'s rows, i = pick(E) and row i.
+
+    Each block of rows is evaluated as it is built, with F on the block's
+    sites alone (``energy_many``'s ``support``), so E has the bits of J on
+    the one-shot sample.  Each block keeps its own pick(E) row; the first
+    extreme of E is its block's first, so row i is that block's row.
+    Raises FountainGeometryError, naming what overflowed, where some J is
+    not finite, since a non-finite J checks nothing.
+    """
+    sites = _block_sites(split, block)
+    support = np.sort(sites + split.window.half_width)
+    energies, rows = [], []
+    bad_count, norm_bad, source_bad = 0, False, False
+    for V in _sphere_blocks(split, sites, radius, count, seed):
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite energies are refused below
+            E = energy_many(V, prob, support=support)
+            bad = ~np.isfinite(E)
+            if bad.any():
+                _, norm_p, source = energy_parts_many(V[bad], prob, support=support)
+                bad_count += int(bad.sum())
+                norm_bad |= not np.all(np.isfinite(norm_p))
+                source_bad |= not np.all(np.isfinite(source))
+        energies.append(E)
+        if E.size:
+            rows.append(V[pick(E)].copy())
+    if bad_count:
+        what = " and ".join(name for name, flag in (("||u||^p", norm_bad),
+                                                     ("the sum of F", source_bad)) if flag) or "J"
+        raise FountainGeometryError(
+            f"radius_{block.lower()} = {radius:.3e}: {what} is beyond float64 range at "
+            f"{bad_count} of {count} samples, so the {block}_n sphere is not checked")
+    E = np.concatenate(energies)
+    i = int(pick(E))
+    return E, i, rows[i // _SPHERE_BLOCK]
 
 
 def verify_energy_floor(split: BasisSplit, prob: ProblemSpec, radius: float,
                         floor: float, samples: int, seed: int) -> SphereCheck:
     """Sampled check of energy >= floor on the Z_n sphere of the given radius.
 
-    Raises FountainGeometryError where a sampled energy is not finite.
+    The samples are those of ``sample_sphere``, built and evaluated a block
+    at a time (``_sphere_energies``); the result is that of the one-shot
+    sample.  Raises FountainGeometryError where a sampled energy is not finite.
     """
-    V = sample_sphere(split, "Z", radius, samples, seed)
-    E = _sphere_energies(V, prob, "Z", radius)
-    i = int(np.argmin(E))
+    E, i, row = _sphere_energies(split, prob, "Z", radius, samples, seed, np.argmin)
     violations = int(np.sum(E < floor - _SLACK))
     return SphereCheck(samples, float(E[i]), floor, float(E[i] - floor), violations,
-                       witness=V[i].copy() if violations else None)
+                       witness=row if violations else None)
 
 
 def verify_energy_ceiling(split: BasisSplit, prob: ProblemSpec, radius: float,
@@ -461,16 +521,15 @@ def verify_energy_ceiling(split: BasisSplit, prob: ProblemSpec, radius: float,
     """Sampled check of energy <= 0 on the Y_n sphere of the given radius.
 
     Also counts how many samples satisfy the stronger bound
-    energy <= -radius^p / p.  Raises FountainGeometryError where a sampled
+    energy <= -radius^p / p.  Samples and evaluation as in
+    ``verify_energy_floor``.  Raises FountainGeometryError where a sampled
     energy is not finite.
     """
-    V = sample_sphere(split, "Y", radius, samples, seed)
-    E = _sphere_energies(V, prob, "Y", radius)
-    i = int(np.argmax(E))
+    E, i, row = _sphere_energies(split, prob, "Y", radius, samples, seed, np.argmax)
     violations = int(np.sum(E > _SLACK))
     strong = int(np.sum(E <= -(radius ** prob.p) / prob.p + _SLACK))
     return SphereCheck(samples, float(E[i]), 0.0, float(E[i]), violations,
-                       witness=V[i].copy() if violations else None,
+                       witness=row if violations else None,
                        strong_count=strong)
 
 

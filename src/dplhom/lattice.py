@@ -308,19 +308,34 @@ def sup_norm(u: LatticeSeq) -> float:
     return float(np.max(np.abs(u.values)))
 
 
-def energy_parts_many(V: np.ndarray, prob: ProblemSpec):
-    """Batched (total, ||u||^p, source_part) for values of shape (..., n)."""
+def energy_parts_many(V: np.ndarray, prob: ProblemSpec, support: Optional[np.ndarray] = None):
+    """Batched (total, ||u||^p, source_part) for values of shape (..., n).
+
+    ``support``, sorted positions outside which every row of V is zero, has
+    F evaluated on V[..., support] alone and scattered into zeros.  F(k, 0)
+    = 0 is the drive contract, so every row sum still runs over the full
+    width in the same order and keeps its bits; a custom drive's -0.0 in
+    place of +0.0 could only change the sign of a zero source sum, which
+    the total does not see.
+    """
     V = np.asarray(V, dtype=float)
     d = _diff_many(V)
     c = prob.coeffs
     norm_p = (np.sum(c.a * np.abs(d) ** prob.p, axis=-1)
               + np.sum(c.b * np.abs(V) ** prob.p, axis=-1))
-    source = np.sum(prob.nonlinearity.F(prob.window.indices, V), axis=-1)
+    if support is None:
+        terms = prob.nonlinearity.F(prob.window.indices, V)
+    else:
+        terms = np.zeros(V.shape)
+        terms[..., support] = prob.nonlinearity.F(prob.window.indices[support], V[..., support])
+    source = np.sum(terms, axis=-1)
     return norm_p / prob.p - prob.lam * source, norm_p, source
 
 
-def energy_many(V: np.ndarray, prob: ProblemSpec) -> np.ndarray:
-    return energy_parts_many(V, prob)[0]
+def energy_many(V: np.ndarray, prob: ProblemSpec,
+                support: Optional[np.ndarray] = None) -> np.ndarray:
+    """Batched J; ``support`` as in ``energy_parts_many``."""
+    return energy_parts_many(V, prob, support)[0]
 
 
 def energy_parts(u: LatticeSeq, prob: ProblemSpec) -> EnergyParts:

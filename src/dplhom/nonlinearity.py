@@ -95,6 +95,16 @@ class Nonlinearity:
         h = 1e-6 * np.maximum(1.0, np.abs(t_arr))
         return _scalar_or_array((self.f(k, t_arr + h) - self.f(k, t_arr - h)) / (2.0 * h), k, t)
 
+    def weight(self, k):
+        """w(k) where F(k, t) is computed as w(k) G(t), or None where it is not.
+
+        A drive that returns a weight promises 0 < w(k) <= 1 and G >= 0, with
+        G independent of k.  Rounding is monotone, so at each t the least w(k)
+        gives the least F and, as w(k) G <= G, F is finite at every k where
+        it is finite at that one (``superlinearity_threshold`` relies on both).
+        """
+        return None
+
     def growth_exponent(self) -> Optional[float]:
         """Natural q > p for the |F| <= d(|t|^p + |t|^q) bound, if known."""
         return None
@@ -151,7 +161,7 @@ class LogPower(Nonlinearity):
     _weight_cache = (None, None)  # (k, w(k)) for the last read-only array k
 
     def weight(self, k):
-        """w(k); for a read-only k, such as a window's indices, kept read-only until the next.
+        """w(k) <= 1; for a read-only k, such as a window's indices, kept read-only until the next.
 
         A read-only k is taken not to change while it is kept.
         """
@@ -181,8 +191,9 @@ class LogPower(Nonlinearity):
         if self.nu == self.p:
             # s^p capped at the largest float: an overflowed s^p would make
             # G = inf - inf = nan where it is +inf
-            sp = np.minimum(s ** self.p, _FLOAT_MAX)
-            return ((1.0 + sp) * np.log1p(sp) - sp) / self.p
+            with np.errstate(over="ignore"):  # as in the nu != p branch, G is +inf there
+                sp = np.minimum(s ** self.p, _FLOAT_MAX)
+                return ((1.0 + sp) * np.log1p(sp) - sp) / self.p
         from scipy.special import hyp2f1  # only this branch needs scipy.special
 
         p, nu = self.p, self.nu
@@ -235,6 +246,10 @@ class PurePower(Nonlinearity):
             raise ValueError(f"q must exceed p={self.p}, got {self.q}")
         if not self.c > 0.0:
             raise ValueError(f"c must be positive, got {self.c}")
+
+    def weight(self, k):
+        """1 at every k: F does not depend on k."""
+        return 1.0 if np.ndim(k) == 0 else np.ones(np.shape(k))
 
     def f(self, k, t):
         return _k_independent(self.c * phi_p(self.q, np.asarray(t, dtype=float)), k, t)

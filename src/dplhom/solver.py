@@ -400,6 +400,8 @@ def bump_amplitude(prob: ProblemSpec, site: int | np.ndarray) -> Optional[float]
     One site gives a float, or None where no c balances; an array of sites
     gives NaN there.  Each site bisects in scalar arithmetic: for a
     non-integer power numpy's array kernels can round an ulp away from it.
+    The 80 bisection steps stop early once one leaves (lo, hi) as it was,
+    which leaves the amplitude as the 80 steps would.
     """
     def gap(k, stiff, c):
         return prob.lam * prob.nonlinearity.f(k, c) - stiff * phi_p(prob.p, c)
@@ -417,7 +419,10 @@ def bump_amplitude(prob: ProblemSpec, site: int | np.ndarray) -> Optional[float]
         lo, hi = grid[change[0]], grid[change[0] + 1]
         for _ in range(80):
             mid = 0.5 * (lo + hi)
-            lo, hi = (lo, mid) if gap(k, stiff, mid) > 0.0 else (mid, hi)
+            step = (lo, mid) if gap(k, stiff, mid) > 0.0 else (mid, hi)
+            if step == (lo, hi):  # a fixed point: every later step repeats this one
+                break
+            lo, hi = step
         amp[n] = 0.5 * (lo + hi)
     if np.ndim(site) == 0:
         return None if math.isnan(amp[0]) else float(amp[0])

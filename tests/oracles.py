@@ -13,7 +13,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from dplhom.fountain import FountainGeometryError
-from dplhom.lattice import energy_many, phi_p, residual_many
+from dplhom.lattice import energy_many, phi_p, residual_many, weighted_norm_many
 from dplhom.nonlinearity import PurePower
 from dplhom.solver import (JACOBIAN_CAP, LS_DECREASE, LS_SHRINK, MAX_BACKTRACKS,
                            _jacobian_bands)
@@ -368,6 +368,22 @@ def vertex_maximum_constant(split, lam):
     a, b, p = split.coeffs.a, split.coeffs.b, split.p
     total = np.sum(a * np.abs(literal_diff(V)) ** p, axis=1) + np.sum(b * np.abs(V) ** p, axis=1)
     return float(np.max(total)) / (p * lam)
+
+
+def one_shot_sphere_sample(split, block, radius, count, seed):
+    """Sphere samples built in one piece: all ``count`` rows at full width.
+
+    The same normals, scaling and norm as ``fountain.sample_sphere``, with
+    no blocks; the reference for its blocked build and the checks on it.
+    """
+    sites = split.y_sites if block == "Y" else split.z_sites
+    coords = np.random.default_rng(seed).standard_normal((count, sites.size))
+    coords[np.all(coords == 0.0, axis=-1), 0] = 1.0
+    coords /= split.spike_norms(sites)[None, :]
+    V = np.zeros((count, split.window.size))
+    V[:, sites + split.window.half_width] = coords
+    V *= (radius / weighted_norm_many(V, split.coeffs, split.p))[:, None]
+    return V
 
 
 def per_point_threshold(prob, c_sup, h_n, t_lo=1e-3, t_hi=1e140, t_samples=64):

@@ -17,8 +17,8 @@ from dplhom import (BasisSplit, CoefficientField, CustomNonlinearity,
                     z_sphere_radius)
 import dplhom.fountain as fountain
 from dplhom.fountain import spiral_sites
-from oracles import (per_point_threshold, power_method_lower_bound, ratio_ascent,
-                     vertex_maximum_constant)
+from oracles import (one_shot_sphere_sample, per_point_threshold, power_method_lower_bound,
+                     ratio_ascent, vertex_maximum_constant)
 
 
 @pytest.fixture(scope="module")
@@ -448,13 +448,15 @@ _THRESHOLD_DRIVES = {
     # F by the 2F1 form (nu != p)
     "log_power_nu3": LogPower(2.0, 2.0, 3.0),
     "log_power_p1.5_nu1": LogPower(1.5, 2.0, 1.0),
+    # w(0) = w(+-1) = 1: the least weight ties on |k| <= 1
+    "log_power_abs_nonzero": LogPower(2.0, 2.0, 2.0, weight_convention="abs_nonzero"),
     "cubic": CustomNonlinearity(2.0, lambda k, t: t ** 3 / (1.0 + abs(k)),
                                 F_scalar=lambda k, t: t ** 4 / (4.0 * (1.0 + abs(k))),
                                 odd=True, name="cubic"),
 }
 
 
-@pytest.mark.parametrize("h_n", [0, 1, 3])
+@pytest.mark.parametrize("h_n", [0, 1, 3, 4])
 @pytest.mark.parametrize("c_sup", [0.5, 3.0, 422.00000000000006])
 @pytest.mark.parametrize("drive", sorted(_THRESHOLD_DRIVES))
 def test_threshold_screen_matches_per_point_scan(drive, c_sup, h_n):
@@ -472,21 +474,41 @@ def test_threshold_screen_matches_per_point_scan(drive, c_sup, h_n):
 
 
 def test_threshold_probes_share_one_weight_array(monkeypatch):
-    # the probes of one threshold search evaluate F on the same |k| <= h_n
-    # column, so a LogPower drive computes w(k) once for all of them
+    # a factorized drive is probed at the one k of least weight: after the
+    # weights of |k| <= h_n pick it, every probe evaluates F on that k row,
+    # so a LogPower drive computes w once for all of them
     nl = LogPower(2.0, 2.0, 2.0)
     plain = LogPower.weight
-    returned = []
+    calls = []
 
     def recorded(self, k):
-        returned.append(plain(self, k))
-        return returned[-1]
+        calls.append((np.array(k), plain(self, k)))
+        return calls[-1][1]
 
     monkeypatch.setattr(LogPower, "weight", recorded)
     prob = ProblemSpec(2.0, 1.0, CoefficientField.constant(Window(4)), nl)
     superlinearity_threshold(prob, c_sup=3.0, h_n=2)
-    assert len(returned) > 5
-    assert all(w is returned[0] for w in returned)
+    (k_all, _), (k_row, w_row), *probes = calls
+    assert k_all.tolist() == [-2, -1, 0, 1, 2]
+    assert k_row.tolist() == [[-2]]
+    assert w_row.tolist() == [[3.0 ** -2.0]]
+    assert len(probes) > 5
+    assert all(w is w_row for _, w in probes)
+
+
+def test_threshold_scans_every_k_of_an_unfactorized_drive(monkeypatch):
+    nl = _THRESHOLD_DRIVES["cubic"]
+    seen = []
+    plain = CustomNonlinearity.F
+
+    def recorded(self, k, t):
+        seen.append(np.shape(k))
+        return plain(self, k, t)
+
+    monkeypatch.setattr(CustomNonlinearity, "F", recorded)
+    prob = ProblemSpec(2.0, 1.0, CoefficientField.constant(Window(4)), nl)
+    superlinearity_threshold(prob, c_sup=3.0, h_n=2)
+    assert seen and set(seen) == {(5, 1)}
 
 
 def test_threshold_note_names_the_overflowing_term():
@@ -522,6 +544,73 @@ def test_sample_sphere_seed_reproducible(coeffs6):
     A = sample_sphere(split, "Z", 1.0, 32, seed=5)
     B = sample_sphere(split, "Z", 1.0, 32, seed=5)
     assert np.array_equal(A, B)
+
+
+def _quartic_signed_zero(k, t):  # F(k, 0) is -0.0, which the drive contract allows
+    return np.float64(t) ** 4 / (4.0 * (1.0 + abs(k))) if t else -0.0
+
+
+_BLOCK = fountain._SPHERE_BLOCK  # sample counts straddle it
+
+_SPHERE_DRIVES = {
+    "log_power_p1.5": LogPower(1.5, 2.0, 1.5),
+    "log_power_p1.5_nu2.5": LogPower(1.5, 2.0, 2.5),
+    "log_power_p2": LogPower(2.0, 2.0, 2.0),
+    "log_power_p2_nu3": LogPower(2.0, 2.0, 3.0, weight_convention="abs_nonzero"),
+    "log_power_p3": LogPower(3.0, 1.5, 3.0),
+    "log_power_p3_nu2": LogPower(3.0, 2.0, 2.0),
+    "pure_power_p2": PurePower(2.0, 4.0),
+    "pure_power_p1.5": PurePower(1.5, 2.5, c=0.5),
+    "custom": CustomNonlinearity(2.0, lambda k, t: t ** 3 / (1.0 + abs(k)),
+                                 F_scalar=_quartic_signed_zero, odd=True, name="quartic"),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(drive=st.sampled_from(sorted(_SPHERE_DRIVES)), K=st.integers(1, 7),
+       n_frac=st.floats(0.0, 1.0), block=st.sampled_from("YZ"),
+       count=st.sampled_from(sorted({1, 127, 128, 129, _BLOCK - 1, _BLOCK, _BLOCK + 1, 1000})),
+       seed=st.integers(0, 2 ** 32 - 1),
+       radius=st.sampled_from([0.3, 2.5, 40.0, 1e80, 1e160]), polynomial=st.booleans())
+@example(drive="custom", K=7, n_frac=0.0, block="Z", count=1000, seed=0, radius=2.5,
+         polynomial=True)
+@example(drive="log_power_p3", K=7, n_frac=1.0, block="Y", count=_BLOCK + 1, seed=5, radius=1e80,
+         polynomial=False)
+@example(drive="log_power_p2", K=50, n_frac=0.3, block="Z", count=1000, seed=107, radius=40.0,
+         polynomial=True)  # the width of the benchmark's rows
+def test_blocked_sphere_checks_match_the_one_shot_sample(drive, K, n_frac, block, count, seed,
+                                                         radius, polynomial):
+    # the blocked, support-only energies are those of energy_many on the
+    # full-width one-shot sample, bit for bit, and so is the extreme row;
+    # where some energy is not finite, the error counts every bad sample
+    nl = _SPHERE_DRIVES[drive]
+    window = Window(K)
+    coeffs = (CoefficientField.polynomial(window, exponent=2.0) if polynomial
+              else CoefficientField.constant(window, a=0.7, b=1.3))
+    prob = ProblemSpec(nl.p, 1.0, coeffs, nl)
+    split = BasisSplit(coeffs, nl.p, 1 + round(n_frac * (window.size - 1)))
+    V = one_shot_sphere_sample(split, block, radius, count, seed)
+    assert np.array_equal(sample_sphere(split, block, radius, count, seed), V)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = energy_many(V, prob)
+    bad = int(np.sum(~np.isfinite(want)))
+    for pick in (np.argmin, np.argmax):
+        if bad:
+            with pytest.raises(FountainGeometryError,
+                               match=rf" at {bad} of {count} samples, so the {block}_n sphere "):
+                fountain._sphere_energies(split, prob, block, radius, count, seed, pick)
+            continue
+        E, i, row = fountain._sphere_energies(split, prob, block, radius, count, seed, pick)
+        assert np.array_equal(E, want)
+        assert i == pick(want) and np.array_equal(row, V[i])
+    if not bad and block == "Z":
+        floor = float(np.median(want))  # about half the samples fall below it
+        chk = verify_energy_floor(split, prob, radius, floor, count, seed)
+        assert chk.extreme_energy == np.min(want)
+        assert chk.violations == np.sum(want < floor - 1e-9)
+        assert (chk.witness is None) == (chk.violations == 0)
+        if chk.witness is not None:
+            assert np.array_equal(chk.witness, V[np.argmin(want)])
 
 
 def test_energy_floor_trivial_without_drive(coeffs6):

@@ -210,6 +210,29 @@ def test_log_power_primitive_is_inf_past_overflow():
     assert np.all(np.isfinite(want))
 
 
+def test_log_power_nu_eq_p_overflows_to_inf_without_a_warning():
+    # warnings are errors in this suite: s^p past the largest float, and the
+    # product after it, must not warn outside any errstate of the caller
+    nl = LogPower(2.0, 2.0, 2.0)
+    assert nl.F(0, 1e155) == np.inf
+    assert np.array_equal(nl.F(np.array([0, 3]), np.array([1e155, -1e200])), [np.inf, np.inf])
+
+
+def test_drive_weights():
+    # F = w(k) G(t) with 0 < w <= 1 where a drive has a weight
+    k = np.arange(-3, 4)
+    t = np.array([0.0, 0.5, 3.0, 1e30])
+    assert CustomNonlinearity.zero(2.0).weight(k) is None
+    assert PurePower(2.0, 4.0).weight(k).tolist() == [1.0] * 7
+    assert PurePower(2.0, 4.0).weight(2) == 1.0
+    assert np.array_equal(PurePower(2.0, 4.0).F(k[:, None], t), np.tile(t ** 4 / 4.0, (7, 1)))
+    for nl in (LogPower(2.0, 2.0, 2.0), LogPower(3.0, 3.0, 2.0, weight_convention="abs_nonzero")):
+        w = nl.weight(k)
+        assert np.all((w > 0.0) & (w <= 1.0))
+        G = nl.F(0, t) / nl.weight(0)
+        assert np.array_equal(nl.F(k[:, None], t), w[:, None] * G)
+
+
 def test_primitive_derivative_matches_drive(rng):
     # central differences of F against f, relative error < 1e-6
     for nl in (LogPower(2.0, 2.0, 2.0), LogPower(3.0, 1.5, 3.0), PurePower(2.0, 4.0),

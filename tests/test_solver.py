@@ -693,6 +693,23 @@ def test_bump_amplitude_matches_per_point_scan(make, rng):
     assert np.array_equal(got, [np.nan if w is None else w for w in want], equal_nan=True)
 
 
+def test_bump_amplitude_bisection_stops_at_its_fixed_point(monkeypatch):
+    # once a step leaves (lo, hi) as it was, so would every later one: the
+    # bisection stops there, well short of its 80 steps, with the same bits
+    prob = make_reference_problem(K=3)
+    want = per_point_bump_amplitude(prob, 1)
+    plain = LogPower.f
+    calls = []
+
+    def counted(self, k, t):
+        calls.append(np.ndim(t))
+        return plain(self, k, t)
+
+    monkeypatch.setattr(LogPower, "f", counted)
+    assert bump_amplitude(prob, 1) == want
+    assert calls[0] == 1 and 40 < len(calls) - 1 < 80
+
+
 def test_bump_amplitude_names_a_site_outside_the_window():
     prob = make_reference_problem(K=3)
     with pytest.raises(ValueError, match="index -4 outside window of half-width 3"):
