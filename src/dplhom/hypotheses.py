@@ -17,6 +17,36 @@ the reported witness; ``satisfied_on_samples`` is evidence from finitely
 many samples, never a proof of the quantified statement; trend-based
 checks that cannot tell either way return ``inconclusive``.
 
+A drive with a ``weight`` (``Nonlinearity.weight``: F = w(k) G(t), and f
+is w(k) times k-free factors, each product rounded, with a sign free of k)
+is checked on the samples that decide each check, and every report is
+the one the full k block gives:
+
+    H2, H2p, H3  the k of greatest w.  Rounding is monotone, so |F| and |f|
+                 are largest there at each t, and every sup over k is that
+                 row's (a proof).  Rows of equal w have equal bits, so the
+                 first such k is the block's first witness; a smaller w
+                 gives a smaller |f| wherever the weights differ by more
+                 than rounding.
+    H1           the same row.  Both shipped drives are odd bit for bit
+                 (phi_p(-t) = -phi_p(t) and the rest is even in t), so
+                 f(k, t) + f(k, -t) = 0 at every k (a proof for them;
+                 evidence for another weighted drive).
+    H4           every k, at the t of the two |t| levels it compares.  Each
+                 level's worst ratio is a minimum over its own t, and f is
+                 evaluated elementwise, so this is exact for every drive,
+                 and every drive takes it.
+    H5           the k of greatest w, and no k subsample, where curly_F is
+                 finite on that row (where it is not, rows of smaller w may
+                 be, so the full block runs).  curly_F = f t - p F is a
+                 difference of two roundings, so its ratios are k-free only
+                 up to rounding: evidence, not a proof.  The tests compare
+                 the reports with the full block's on drawn plans.
+
+H3p and H4p need every k and t.  A drive without a weight
+(``CustomNonlinearity``) gets every k in every check, with H5's k
+subsampled to 81 rows.
+
 ``inconsistency_demo`` quantifies why uniform superlinearity (H4p) and
 summability (H3p) cannot coexist: once |f(k,t)| >= 1 for |t| >= T1 and
 all k, the per-k sup of |F| over |t| <= T is at least (T - T1) - |F(k,T1)|,
@@ -152,18 +182,28 @@ def _check_B(coeffs: CoefficientField) -> HypothesisReport:
                             detail="floor holds but growth of b at the edges is not visible")
 
 
+def _k_rows(nl, plan) -> np.ndarray:
+    """The k a check evaluates: the one of greatest w(k) where the drive has a weight.
+
+    Drives without a weight get every k of the plan.
+    """
+    w = nl.weight(plan.k_values)
+    return plan.k_values if w is None else plan.k_values[[int(np.argmax(w))]]
+
+
 def _check_H1(nl, plan) -> HypothesisReport:
     t = plan.t_values[plan.t_values > 0.0]
     if t.size == 0:
         return HypothesisReport("H1", INCONCLUSIVE, detail="no nonzero t samples")
-    k = plan.k_values[:, None]
+    ks = _k_rows(nl, plan)
+    k = ks[:, None]
     fp = nl.f(k, t[None, :])
     fm = nl.f(k, -t[None, :])
     err = np.abs(fp + fm)
     tol = _WITNESS_TOL * (1.0 + np.abs(fp))
     if np.any(err > tol):
         i, j = np.unravel_index(int(np.argmax(err - tol)), err.shape)
-        return HypothesisReport("H1", REFUTED, witness=(int(plan.k_values[i]), float(t[j])),
+        return HypothesisReport("H1", REFUTED, witness=(int(ks[i]), float(t[j])),
                                 detail=f"f(k,-t) + f(k,t) = {fp[i, j] + fm[i, j]:.3e}")
     return HypothesisReport("H1", SATISFIED, detail="odd on all sampled points")
 
@@ -175,7 +215,7 @@ def _growth_bound(nl, plan, condition: str) -> HypothesisReport:
         return HypothesisReport(condition, INCONCLUSIVE,
                                 detail="no growth exponent q > p is known for this family")
     t = plan.t_values[plan.t_values != 0.0]
-    k = plan.k_values[:, None]
+    k = _k_rows(nl, plan)[:, None]
     absF = np.abs(nl.F(k, t[None, :]))
     at = np.abs(t)[None, :]
     den = at ** nl.p + at ** q if condition == "H2" else at ** q
@@ -200,7 +240,8 @@ def _check_H3(nl, plan) -> HypothesisReport:
     t = plan.small_t()
     if t.size < 2:
         return HypothesisReport("H3", INCONCLUSIVE, detail="not enough small-t samples")
-    k = plan.k_values[:, None]
+    ks = _k_rows(nl, plan)
+    k = ks[:, None]
     ratio = np.abs(nl.f(k, t[None, :])) / np.abs(t)[None, :] ** (nl.p - 1.0)
     sup_k = np.max(ratio, axis=0)              # per |t| level, decreasing magnitude
     first, last = float(sup_k[0]), float(sup_k[-1])
@@ -211,15 +252,14 @@ def _check_H3(nl, plan) -> HypothesisReport:
     if last >= 0.5 * first:
         j = int(np.argmax(ratio[:, -1]))
         return HypothesisReport("H3", REFUTED, constants=consts,
-                                witness=(int(plan.k_values[j]), float(t[-1])),
+                                witness=(int(ks[j]), float(t[-1])),
                                 detail=f"ratio stays at {last:.3g} down to |t| = {abs(t[-1]):.1e}")
     return HypothesisReport("H3", INCONCLUSIVE, constants=consts,
                             detail="ratio decays too slowly to call")
 
 
-def _h4_profiles(nl, plan):
-    """Ratios f(k,t) t / |t|^p on the large-|t| grid, |t| levels, per-k worst ratio per level."""
-    t = plan.large_t()
+def _h4_profiles(nl, plan, t):
+    """Ratios f(k,t) t / |t|^p on ``t`` at every k, |t| levels, per-k worst ratio per level."""
     k = plan.k_values[:, None]
     ratio = nl.f(k, t[None, :]) * t[None, :] / np.abs(t)[None, :] ** nl.p
     mags, level = np.unique(np.abs(t), return_inverse=True)
@@ -229,11 +269,16 @@ def _h4_profiles(nl, plan):
 
 
 def _check_H4(nl, plan, profiles=None) -> HypothesisReport:
-    _, mags, prof = profiles or _h4_profiles(nl, plan)
+    t = plan.large_t()
+    mags = np.unique(np.abs(t))
     if mags.size < 3:
         return HypothesisReport("H4", INCONCLUSIVE, detail="not enough large-t samples")
-    mid = mags.size // 2
-    g_mid, g_last = prof[:, mid], prof[:, -1]
+    levels = [mags.size // 2, -1]  # the middle and the last |t| level are compared
+    if profiles is None:
+        t = t[np.isin(np.abs(t), mags[levels])]  # a level's worst ratio needs its t alone
+        levels = [0, 1]
+    _, _, prof = profiles or _h4_profiles(nl, plan, t)
+    g_mid, g_last = prof[:, levels].T
     flat = g_last <= g_mid * (1.0 + _WITNESS_TOL) + _ZERO_TOL
     if np.any(flat):
         i = int(np.argmax(flat))
@@ -249,7 +294,7 @@ def _check_H4(nl, plan, profiles=None) -> HypothesisReport:
 
 
 def _check_H4p(nl, plan) -> HypothesisReport:
-    profiles = _h4_profiles(nl, plan)
+    profiles = _h4_profiles(nl, plan, plan.large_t())
     base = _check_H4(nl, plan, profiles)
     if base.verdict == REFUTED:
         return HypothesisReport("H4p", REFUTED, witness=base.witness,
@@ -288,17 +333,26 @@ def _check_H5(nl, plan) -> HypothesisReport:
     t = plan.t_values[plan.t_values != 0.0]
     if t.size > 240:  # keep the (k, t, s) tensor moderate
         t = t[np.linspace(0, t.size - 1, 240).astype(int)]
-    k = plan.k_values
-    if k.size > 81:
-        k = k[np.linspace(0, k.size - 1, 81).astype(int)]
-    base = nl.curly_F(k[:, None], t[None, :])
+    s = plan.s_values
+    ts = t[None, :, None] * s[None, None, :]
+    k = _k_rows(nl, plan)
+    scaled = None
+    if k.size < plan.k_values.size:  # the row of greatest w
+        base = nl.curly_F(k[:, None], t[None, :])
+        scaled = nl.curly_F(k[:, None, None], ts)
+        if not (np.all(np.isfinite(base)) and np.all(np.isfinite(scaled))):
+            k, scaled = plan.k_values, None  # rows of smaller w may not overflow there
+    if scaled is None:
+        if k.size > 81:
+            k = k[np.linspace(0, k.size - 1, 81).astype(int)]
+        base = nl.curly_F(k[:, None], t[None, :])
     neg = base < -_WITNESS_TOL
     if np.any(neg):
         i, j = np.unravel_index(int(np.argmax(neg)), neg.shape)
         return HypothesisReport("H5", REFUTED, witness=(int(k[i]), float(t[j])),
                                 detail=f"curly_F({k[i]}, {t[j]:.4g}) = {base[i, j]:.3e} < 0")
-    s = plan.s_values
-    scaled = nl.curly_F(k[:, None, None], t[None, :, None] * s[None, None, :])
+    if scaled is None:
+        scaled = nl.curly_F(k[:, None, None], ts)
     positive = base > _ZERO_TOL
     ratio = np.where(positive[:, :, None], scaled / np.where(positive, base, 1.0)[:, :, None], -np.inf)
     sigma_hat = max(1.0, float(np.max(ratio, initial=1.0)))

@@ -99,9 +99,13 @@ class Nonlinearity:
         """w(k) where F(k, t) is computed as w(k) G(t), or None where it is not.
 
         A drive that returns a weight promises 0 < w(k) <= 1 and G >= 0, with
-        G independent of k.  Rounding is monotone, so at each t the least w(k)
-        gives the least F and, as w(k) G <= G, F is finite at every k where
-        it is finite at that one (``superlinearity_threshold`` relies on both).
+        G independent of k, and that f(k, t) is formed as w(k) times factors
+        free of k, through rounded products, with a sign that does not depend
+        on k.  Rounding is monotone, so at each t the least w(k) gives the
+        least F and, as w(k) G <= G, F is finite at every k where it is
+        finite at that one (``superlinearity_threshold`` relies on both); and
+        the greatest w(k) gives the largest |f| and |F| (the hypothesis
+        checks rely on it).
         """
         return None
 

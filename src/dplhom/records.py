@@ -79,7 +79,10 @@ def _untag_non_finite(obj: dict):
 
 
 def save_json(path, payload: dict) -> None:
-    text = json.dumps(_tag_non_finite(payload), sort_keys=True, indent=1, allow_nan=False)
+    try:  # tagging changes nothing where every float is finite
+        text = json.dumps(payload, sort_keys=True, indent=1, allow_nan=False)
+    except ValueError:  # an inf or NaN float
+        text = json.dumps(_tag_non_finite(payload), sort_keys=True, indent=1, allow_nan=False)
     Path(path).write_text(text + "\n", encoding="utf-8")
 
 
@@ -88,10 +91,9 @@ def load_json(path) -> dict:
 
 
 def save_plot_csv(path, window, values) -> None:
-    rows = ["k,u"]
-    for k, v in zip(window.indices, values):
-        rows.append(f"{int(k)},{_F17.format(float(v))}")
-    Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8")
+    pairs = zip(window.indices.tolist(), np.asarray(values, dtype=float).tolist())
+    text = "\n".join(["k,u", *(f"{k},{_F17.format(v)}" for k, v in pairs)])
+    Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 def save_table_csv(path, header: Sequence[str], rows: Sequence[Sequence]) -> None:

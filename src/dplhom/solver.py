@@ -11,16 +11,18 @@ The workhorses:
 
 newton_solve and deflated_solve share one damped Newton loop, which stops
 where its step or its Armijo search fails.  The search tries the full step
-alone, then evaluates every shorter step length in one batched residual and
-deflation call and keeps the first that passes: the point a one-at-a-time
-search would accept, with the same bits.  Deflation multiplies the residual
-by M(v) = prod_i (1 + ||v - w_i||^-p) over the known roots w_i, and their
-negations for an odd drive.  The Jacobian M J + r grad(M)^T of M r is
-tridiagonal plus rank one, so by Sherman-Morrison its Newton step is the
-plain tridiagonal step delta times the scalar 1 / (1 - grad(log M).delta)
-(Farrell, Birkisson & Funke, SIAM J. Sci. Comput. 37, 2015).  The
-tridiagonal step is one direct LAPACK dgtsv call; scipy.linalg loads at the
-first solve, so importing this module needs numpy only.
+alone, then evaluates the shorter step lengths in order, in batched
+residual and deflation calls of about _SEARCH_BLOCK values each (all of
+them in one call up to n = 105), and keeps the first that passes: the
+point a one-at-a-time search would accept, with the same bits.  Deflation
+multiplies the residual by M(v) = prod_i (1 + ||v - w_i||^-p) over the
+known roots w_i, and their negations for an odd drive.  The Jacobian
+M J + r grad(M)^T of M r is tridiagonal plus rank one, so by
+Sherman-Morrison its Newton step is the plain tridiagonal step delta times
+the scalar 1 / (1 - grad(log M).delta) (Farrell, Birkisson & Funke, SIAM J.
+Sci. Comput. 37, 2015).  The tridiagonal step is one direct LAPACK dgtsv
+call; scipy.linalg loads at the first solve, so importing this module needs
+numpy only.
 
 find_critical_points and solution_sequence run one enumeration engine,
 multistart Newton then deflation rounds from the one-site bump starts, and
@@ -69,8 +71,8 @@ class MountainPassError(RuntimeError):
 
 # Fixed solver geometry.  Line search: step shrink factor and Armijo
 # sufficient-decrease factor, at most MAX_BACKTRACKS trials; the full step is
-# tried alone, then the other step lengths in one batch.  JACOBIAN_CAP
-# caps phi_p' in the Jacobian (p < 2).  Mountain pass: PATH_POINTS points of
+# tried alone, then the other step lengths in batches (``_search_chunks``).
+# JACOBIAN_CAP caps phi_p' in the Jacobian (p < 2).  Mountain pass: PATH_POINTS points of
 # the segment are searched for the energy maximum.  Acceptance: the tail
 # starts at TAIL_FRACTION of the half-width; TAIL_TOL bounds its mass,
 # DRIFT_TOL the move on a window CONTINUATION_GROWTH sites wider, DEDUP_TOL
@@ -89,6 +91,25 @@ CONTINUATION_GROWTH = 10
 # LS_SHRINK^j for j < MAX_BACKTRACKS, by the repeated products that a
 # one-at-a-time search forms.
 _STEP_LENGTHS = np.cumprod(np.r_[1.0, np.full(MAX_BACKTRACKS - 1, LS_SHRINK)])
+# Values per batched residual call of the Armijo search after the full step:
+# every shorter step length fits one call up to n = 105, and at n = 401 and
+# 801 a call holds 10 and 5 of them.  On a benchmark ladder round, 105 of
+# the 155 searches at those n whose full step failed accepted within their
+# first call.  The round took 0.51 s of process time at 4096, against 0.62,
+# 0.58 and 0.52 s at 1024, 2048 and 8192, and 0.62 s with one call for all
+# 39 (medians of 10 alternating rounds in one interpreter, 2-core host).
+_SEARCH_BLOCK = 4096
+
+
+def _search_chunks(n: int) -> list:
+    """The step lengths of the Armijo search at n sites, one array per residual call.
+
+    The full step alone, then the others in order, max(1, _SEARCH_BLOCK // n)
+    to a call.
+    """
+    rows = max(1, _SEARCH_BLOCK // n)
+    return [_STEP_LENGTHS[:1]] + [_STEP_LENGTHS[j:j + rows]
+                                  for j in range(1, MAX_BACKTRACKS, rows)]
 
 
 @dataclass(frozen=True)
@@ -167,11 +188,12 @@ def _newton_values(v0: np.ndarray, prob: ProblemSpec, cfg: SolverConfig,
     M r, M = prod_i (1 + ||v - w_i||^-p).  Its merit is ||M r||^2, and
     its step is the tridiagonal Newton step delta over 1 - grad(log M).delta:
     Sherman-Morrison on M J + r grad(M)^T.  The Armijo search tries alpha = 1,
-    then every LS_SHRINK^j, 0 < j < MAX_BACKTRACKS, as one batch, and takes
-    the longest step that passes.  Either loop stops at the first
-    iteration whose Newton step is missing (singular, non-finite or at least
-    1e14) or whose Armijo search fails, and the deflated loop also stops at a
-    start that sits on an anchor.
+    then the LS_SHRINK^j, 0 < j < MAX_BACKTRACKS, in order, a batch of
+    max(1, _SEARCH_BLOCK // n) at a time, and takes the longest step that
+    passes: the first batch with a passing row ends the search.  Either
+    loop stops at the first iteration whose Newton step is missing
+    (singular, non-finite or at least 1e14) or whose Armijo search fails,
+    and the deflated loop also stops at a start that sits on an anchor.
     """
     from scipy.linalg.lapack import dgtsv  # scipy loads at the first solve, not at import
 
@@ -184,6 +206,7 @@ def _newton_values(v0: np.ndarray, prob: ProblemSpec, cfg: SolverConfig,
 
     r = residual_many(v, prob)
     M, dlogM = deflation(v)
+    chunks = _search_chunks(v.size)
     note = ""
     it = 0
     if not math.isfinite(M):  # the start sits on an anchor
@@ -205,7 +228,7 @@ def _newton_values(v0: np.ndarray, prob: ProblemSpec, cfg: SolverConfig,
                 delta = cand
         stepped = False
         if delta is not None:
-            for alphas in (_STEP_LENGTHS[:1], _STEP_LENGTHS[1:]):
+            for alphas in chunks:
                 V_try = v + alphas[:, None] * delta
                 R_try = residual_many(V_try, prob)
                 M_try, dlogM_try = deflation(V_try)

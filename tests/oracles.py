@@ -7,12 +7,16 @@ the two is a genuine cross-check.
 """
 
 import itertools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 from scipy.linalg import solve_banded
 
 from dplhom.fountain import FountainGeometryError
+from dplhom.hypotheses import (_WITNESS_TOL, _ZERO_TOL, INCONCLUSIVE, REFUTED, SATISFIED,
+                               HypothesisReport)
 from dplhom.lattice import energy_many, phi_p, residual_many, weighted_norm_many
 from dplhom.nonlinearity import PurePower
 from dplhom.solver import (JACOBIAN_CAP, LS_DECREASE, LS_SHRINK, MAX_BACKTRACKS,
@@ -561,3 +565,168 @@ def ratio_ascent(coeffs, p, q, sites, starts=8, seed=0, iters=600):
         active &= eta > 1e-14
     best = int(np.argmax(obj))
     return float(obj[best]), U[best]
+
+
+# The hypothesis gate's checks as they stood before weighted drives were
+# checked on their deciding k: every k of the plan (H5 subsampled to 81 rows)
+# and every t.  Copied verbatim.
+def _check_H1(nl, plan) -> HypothesisReport:
+    t = plan.t_values[plan.t_values > 0.0]
+    if t.size == 0:
+        return HypothesisReport("H1", INCONCLUSIVE, detail="no nonzero t samples")
+    k = plan.k_values[:, None]
+    fp = nl.f(k, t[None, :])
+    fm = nl.f(k, -t[None, :])
+    err = np.abs(fp + fm)
+    tol = _WITNESS_TOL * (1.0 + np.abs(fp))
+    if np.any(err > tol):
+        i, j = np.unravel_index(int(np.argmax(err - tol)), err.shape)
+        return HypothesisReport("H1", REFUTED, witness=(int(plan.k_values[i]), float(t[j])),
+                                detail=f"f(k,-t) + f(k,t) = {fp[i, j] + fm[i, j]:.3e}")
+    return HypothesisReport("H1", SATISFIED, detail="odd on all sampled points")
+
+
+def _growth_bound(nl, plan, condition: str) -> HypothesisReport:
+    """Shared body of H2 / H2p: estimate d and judge tail stability."""
+    q = nl.growth_exponent()
+    if q is None or not q > nl.p:
+        return HypothesisReport(condition, INCONCLUSIVE,
+                                detail="no growth exponent q > p is known for this family")
+    t = plan.t_values[plan.t_values != 0.0]
+    k = plan.k_values[:, None]
+    absF = np.abs(nl.F(k, t[None, :]))
+    at = np.abs(t)[None, :]
+    den = at ** nl.p + at ** q if condition == "H2" else at ** q
+    ratio = absF / den
+    d_hat = float(np.max(ratio))
+    # If the ratio is still climbing across the outermost decade of |t|,
+    # the sampled sup says nothing about a global d.
+    tmax = float(np.max(np.abs(t)))
+    outer = np.abs(t)[None, :] >= tmax / 10.0
+    inner = (np.abs(t)[None, :] < tmax / 10.0) & (np.abs(t)[None, :] >= tmax / 100.0)
+    sup_outer = float(np.max(ratio[np.broadcast_to(outer, ratio.shape)], initial=0.0))
+    sup_inner = float(np.max(ratio[np.broadcast_to(inner, ratio.shape)], initial=0.0))
+    consts = {"d": d_hat, "q": float(q)}
+    if sup_inner > 0.0 and sup_outer > 1.10 * sup_inner:
+        return HypothesisReport(condition, INCONCLUSIVE, constants=consts,
+                                detail="|F| ratio still growing at the largest sampled |t|")
+    return HypothesisReport(condition, SATISFIED, constants=consts,
+                            detail=f"grid sup of the ratio is {d_hat:.6g} with q = {q:g}")
+
+
+def _check_H3(nl, plan) -> HypothesisReport:
+    t = plan.small_t()
+    if t.size < 2:
+        return HypothesisReport("H3", INCONCLUSIVE, detail="not enough small-t samples")
+    k = plan.k_values[:, None]
+    ratio = np.abs(nl.f(k, t[None, :])) / np.abs(t)[None, :] ** (nl.p - 1.0)
+    sup_k = np.max(ratio, axis=0)              # per |t| level, decreasing magnitude
+    first, last = float(sup_k[0]), float(sup_k[-1])
+    consts = {"ratio_at_largest": first, "ratio_at_smallest": last}
+    if last <= max(_ZERO_TOL, 1e-3 * first):
+        return HypothesisReport("H3", SATISFIED, constants=consts,
+                                detail="ratio decays by three decades over the sampled range")
+    if last >= 0.5 * first:
+        j = int(np.argmax(ratio[:, -1]))
+        return HypothesisReport("H3", REFUTED, constants=consts,
+                                witness=(int(plan.k_values[j]), float(t[-1])),
+                                detail=f"ratio stays at {last:.3g} down to |t| = {abs(t[-1]):.1e}")
+    return HypothesisReport("H3", INCONCLUSIVE, constants=consts,
+                            detail="ratio decays too slowly to call")
+
+
+def _h4_profiles(nl, plan):
+    """Ratios f(k,t) t / |t|^p on the large-|t| grid, |t| levels, per-k worst ratio per level."""
+    t = plan.large_t()
+    k = plan.k_values[:, None]
+    ratio = nl.f(k, t[None, :]) * t[None, :] / np.abs(t)[None, :] ** nl.p
+    mags, level = np.unique(np.abs(t), return_inverse=True)
+    prof = np.full((mags.size, plan.k_values.size), np.inf)
+    np.minimum.at(prof, level, ratio.T)
+    return ratio, mags, prof.T
+
+
+def _check_H4(nl, plan, profiles=None) -> HypothesisReport:
+    _, mags, prof = profiles or _h4_profiles(nl, plan)
+    if mags.size < 3:
+        return HypothesisReport("H4", INCONCLUSIVE, detail="not enough large-t samples")
+    mid = mags.size // 2
+    g_mid, g_last = prof[:, mid], prof[:, -1]
+    flat = g_last <= g_mid * (1.0 + _WITNESS_TOL) + _ZERO_TOL
+    if np.any(flat):
+        i = int(np.argmax(flat))
+        return HypothesisReport("H4", REFUTED,
+                                witness=(int(plan.k_values[i]), float(mags[-1])),
+                                detail=f"ratio at k={plan.k_values[i]} does not grow "
+                                       f"({g_mid[i]:.3g} -> {g_last[i]:.3g})")
+    if np.all(g_last >= 1.2 * np.maximum(g_mid, 0.0)) and np.all(g_last > 0.0):
+        return HypothesisReport("H4", SATISFIED,
+                                constants={"min_ratio_at_largest": float(g_last.min())},
+                                detail="ratio grows for every sampled k")
+    return HypothesisReport("H4", INCONCLUSIVE, detail="growth too slow to call")
+
+
+
+def _check_H5(nl, plan) -> HypothesisReport:
+    t = plan.t_values[plan.t_values != 0.0]
+    if t.size > 240:  # keep the (k, t, s) tensor moderate
+        t = t[np.linspace(0, t.size - 1, 240).astype(int)]
+    k = plan.k_values
+    if k.size > 81:
+        k = k[np.linspace(0, k.size - 1, 81).astype(int)]
+    base = nl.curly_F(k[:, None], t[None, :])
+    neg = base < -_WITNESS_TOL
+    if np.any(neg):
+        i, j = np.unravel_index(int(np.argmax(neg)), neg.shape)
+        return HypothesisReport("H5", REFUTED, witness=(int(k[i]), float(t[j])),
+                                detail=f"curly_F({k[i]}, {t[j]:.4g}) = {base[i, j]:.3e} < 0")
+    s = plan.s_values
+    scaled = nl.curly_F(k[:, None, None], t[None, :, None] * s[None, None, :])
+    positive = base > _ZERO_TOL
+    ratio = np.where(positive[:, :, None], scaled / np.where(positive, base, 1.0)[:, :, None], -np.inf)
+    sigma_hat = max(1.0, float(np.max(ratio, initial=1.0)))
+    # A positive scaled value over a vanishing base value defeats every
+    # finite sigma on that sample pair.
+    blown = (~positive[:, :, None]) & (scaled > 1e-6)
+    if np.any(blown):
+        i, j, m = np.unravel_index(int(np.argmax(blown)), blown.shape)
+        return HypothesisReport("H5", REFUTED, witness=(int(k[i]), float(t[j]), float(s[m])),
+                                detail="curly_F vanishes at (k,t) but not at (k,st)")
+    return HypothesisReport("H5", SATISFIED, constants={"sigma": sigma_hat},
+                            detail=f"sampled sigma = {sigma_hat:.6g}")
+
+
+def full_block_report(nl, plan, condition):
+    """The report of H1, H2, H2p, H3, H4 or H5 from the full (k, t) block."""
+    if condition in ("H2", "H2p"):
+        return _growth_bound(nl, plan, condition)
+    return {"H1": _check_H1, "H3": _check_H3, "H4": _check_H4, "H5": _check_H5}[condition](nl, plan)
+
+
+# The record writers as they stood before they skipped the walk over finite
+# floats and formatted from lists.  Copied verbatim, the writers renamed.
+_F17 = "{:.17g}"
+_FLOAT_TAG = "$float"
+
+
+def _tag_non_finite(x):
+    """``x`` with each inf, -inf or NaN float replaced by {"$float": its JSON-style name}."""
+    if isinstance(x, float) and not math.isfinite(x):
+        return {_FLOAT_TAG: "NaN" if x != x else ("Infinity" if x > 0 else "-Infinity")}
+    if isinstance(x, dict):
+        return {k: _tag_non_finite(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_tag_non_finite(v) for v in x]
+    return x
+
+
+def literal_save_json(path, payload: dict) -> None:
+    text = json.dumps(_tag_non_finite(payload), sort_keys=True, indent=1, allow_nan=False)
+    Path(path).write_text(text + "\n", encoding="utf-8")
+
+
+def literal_save_plot_csv(path, window, values) -> None:
+    rows = ["k,u"]
+    for k, v in zip(window.indices, values):
+        rows.append(f"{int(k)},{_F17.format(float(v))}")
+    Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8")

@@ -15,8 +15,10 @@ from hypothesis.extra import numpy as hnp
 import dplhom.cli as cli
 from dplhom import LatticeSeq, SolverConfig, newton_solve
 from dplhom.config import KNOWN_KEYS, ConfigError, parse_config_text
-from dplhom.records import load_json, save_json, solution_record, verify_record
+from dplhom.records import (load_json, save_json, save_plot_csv, solution_record,
+                            verify_record)
 from conftest import subprocess_env
+from oracles import full_block_report, literal_save_json, literal_save_plot_csv
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -444,6 +446,46 @@ def test_save_json_tags_each_non_finite_float(tmp_path):
     back = load_json(path)
     assert back["scalars"] == {"energy": -math.inf, "metric": math.inf, "x": 1.5}
     assert math.isnan(back["rows"][0][0]) and back["rows"][1] == math.inf
+
+
+def test_record_writers_keep_the_bytes_of_the_literal_writers(tmp_path):
+    # a K = 400 rung, and the same record with inf, -inf and NaN scalars
+    cfg = parse_config_text("\n".join(
+        ln.replace("half_width = 30", "half_width = 400") for ln in LOG_POWER_LINES) + "\n")
+    prob = cfg.build_problem()
+    res = newton_solve(LatticeSeq.spike(prob.window, site=0, amplitude=2.0), prob,
+                       SolverConfig(max_iter=3))
+    odd = dataclasses.replace(res, energy=-math.inf, residual_inf_norm=math.inf,
+                              cerami_metric=math.nan)
+    values = res.u.values.copy()
+    values[:6] = [-0.0, 5e-324, math.inf, -math.inf, math.nan, 1e300]
+    for i, (record, u) in enumerate([(solution_record(cfg, 7, res), res.u.values),
+                                     (solution_record(cfg, 7, odd, {"index": 3}), values)]):
+        save_json(tmp_path / f"new{i}.json", record)
+        literal_save_json(tmp_path / f"old{i}.json", record)
+        save_plot_csv(tmp_path / f"new{i}.csv", prob.window, u)
+        literal_save_plot_csv(tmp_path / f"old{i}.csv", prob.window, u)
+        for ext in ("json", "csv"):
+            new = (tmp_path / f"new{i}.{ext}").read_bytes()
+            assert new == (tmp_path / f"old{i}.{ext}").read_bytes()
+    assert b'"energy": {\n   "$float": "-Infinity"' in (tmp_path / "new1.json").read_bytes()
+    assert len((tmp_path / "new0.csv").read_text().splitlines()) == 802
+
+
+@pytest.mark.parametrize("config", sorted(p.name for p in CONFIG_DIR.glob("*.cfg")))
+def test_check_reports_equal_the_full_block_reports(tmp_path, config):
+    # `dplhom check` evaluates H1-H5 on each weighted drive's deciding k; its
+    # report keeps every value of the full (k, t) block
+    cli.run(["check", "--config", str(CONFIG_DIR / config), "--out", str(tmp_path),
+             "--quiet"])
+    reports = load_json(tmp_path / "check_report.json")["reports"]
+    cfg = parse_config_text((CONFIG_DIR / config).read_text(encoding="utf-8"))
+    nl, plan = cfg.build_problem().nonlinearity, cfg.build_plan()
+    for cond in ("H1", "H2", "H3", "H4", "H5", "H2p"):
+        ref = full_block_report(nl, plan, cond)
+        assert reports[cond] == {
+            "verdict": ref.verdict, "constants": ref.constants, "detail": ref.detail,
+            "witness": None if ref.witness is None else list(ref.witness)}
 
 
 def test_sequence_short_of_its_target_is_a_partial_result(tmp_path, capsys):

@@ -2,11 +2,17 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dplhom import (CoefficientField, CustomNonlinearity, LogPower,
                     PreconditionViolation, PurePower, SamplingPlan, Window,
                     check_all, check_hypothesis, inconsistency_demo,
                     positivity_check, phi_p)
+from dplhom.nonlinearity import WEIGHT_CONVENTIONS
+from oracles import full_block_report
+
+GATE = ("H1", "H2", "H2p", "H3", "H4", "H5")
 
 
 @pytest.fixture(scope="module")
@@ -172,6 +178,109 @@ def test_h5_vanishing_base_refuted(plan):
     assert rep.refuted and rep.detail == "curly_F vanishes at (k,t) but not at (k,st)"
     k, t, s = rep.witness
     assert nl.curly_F(k, t) == 0.0 and nl.curly_F(k, s * t) > 1e-6
+
+
+_P = st.sampled_from([1.5, 2.0, 3.0]) | st.floats(1.05, 4.0)
+_LOG_POWER = st.builds(
+    lambda p, mu, nu, conv: LogPower(p, mu, p if nu is None else nu, conv),
+    _P, st.sampled_from([1.5, 2.0, 3.0]) | st.floats(1.01, 8.0),
+    st.none() | st.sampled_from([1.0, 1.5, 2.0, 3.0]) | st.floats(1.0, 5.0),
+    st.sampled_from(WEIGHT_CONVENTIONS))
+_PURE_POWER = st.builds(lambda p, dq, c: PurePower(p, p + dq, c), _P,
+                        st.sampled_from([0.02, 0.5, 2.0]) | st.floats(0.001, 4.0),
+                        st.sampled_from([1e-14, 1.0, 5.0]) | st.floats(1e-6, 1e6))
+# plans down to one k and a few t, where H3 and H4 turn inconclusive or
+# refuted, and up to |t| where f, F and curly_F overflow
+_PLAN = st.builds(
+    lambda k_max, t_min, decades, per_decade, s_points: SamplingPlan.default(
+        k_max, t_min, t_min * 10.0 ** decades, per_decade, s_points),
+    st.integers(1, 120), st.sampled_from([1e-8, 1e-3, 0.05]) | st.floats(1e-12, 0.5),
+    st.sampled_from([0.5, 1.5, 11.0, 208.0]) | st.floats(0.05, 20.0),
+    st.integers(1, 60), st.integers(2, 30))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_LOG_POWER | _PURE_POWER, _PLAN)
+@example(LogPower(2.0, 2.0, 2.0), SamplingPlan.default(1, 0.05, 1.5, 1, 2))  # H3 refuted
+@example(PurePower(2.0, 4.0, 1e-14), SamplingPlan.default(40, 1e-8, 1.5, 40, 2))  # H4 refuted
+@example(LogPower(2.0, 2.0, 2.0, "abs_nonzero"),
+         SamplingPlan.default(3, 1e-8, 1e200, 1, 2))  # H5 overflows on the row of greatest w
+def test_gate_on_the_deciding_row_gives_the_full_block_report(nl, plan):
+    # a drive with a weight is checked on the k (and, for H4, the |t| levels)
+    # that decide each check: verdict, witness, constants and detail are the
+    # full block's, compared as reprs so that a NaN constant compares too
+    with np.errstate(all="ignore"):
+        for cond in GATE:
+            assert repr(check_hypothesis(nl, cond, plan)) == repr(full_block_report(nl, plan, cond))
+
+
+@pytest.mark.parametrize("nl, plan_args, cond, verdict", [
+    (LogPower(2.0, 2.0, 2.0), (1, 0.05, 1.5, 1, 2), "H3", "refuted"),
+    (LogPower(2.0, 2.0, 2.0), (1, 1e-3, 50.0, 1, 2), "H3", "inconclusive"),
+    (PurePower(2.0, 4.0, 1e-14), (40, 1e-8, 1.5, 40, 2), "H4", "refuted"),
+    (LogPower(2.0, 2.0, 2.0), (1, 1e-8, 1.5, 1, 2), "H4", "inconclusive"),
+    (LogPower(2.0, 2.0, 2.0, "abs_nonzero"), (3, 1e-8, 1e200, 1, 2), "H5", "refuted"),
+], ids=["H3_refuted", "H3_inconclusive", "H4_refuted", "H4_inconclusive", "H5_overflow"])
+def test_gate_examples_reach_each_verdict(nl, plan_args, cond, verdict):
+    plan = SamplingPlan.default(*plan_args)
+    with np.errstate(all="ignore"):
+        rep = check_hypothesis(nl, cond, plan)
+        assert rep.verdict == verdict
+        assert repr(rep) == repr(full_block_report(nl, plan, cond))
+
+
+@pytest.mark.parametrize("nl, verdict", [
+    (CustomNonlinearity(2.0, lambda k, t: t ** 3, F_scalar=lambda k, t: t ** 4 / 4.0, odd=True),
+     "satisfied_on_samples"),
+    (pure_p_power(), "refuted"),
+    (CustomNonlinearity.zero(2.0), "refuted"),
+    (CustomNonlinearity(2.0, lambda k, t: (1.0 + k * k) * t ** 3,
+                        F_scalar=lambda k, t: (1.0 + k * k) * t ** 4 / 4.0, odd=True),
+     "satisfied_on_samples"),
+    # not odd: the worst ratio at a level is the one at -t
+    (CustomNonlinearity(2.0, lambda k, t: t ** 3 + t * t,
+                        F_scalar=lambda k, t: t ** 4 / 4 + t ** 3 / 3), "satisfied_on_samples"),
+], ids=["cubic", "borderline", "zero", "k_growing_cubic", "not_odd"])
+def test_H4_on_its_two_levels_gives_the_full_grid_report_for_a_custom_drive(plan, nl, verdict):
+    rep = check_hypothesis(nl, "H4", plan)
+    assert rep.verdict == verdict
+    assert rep == full_block_report(nl, plan, "H4")
+
+
+def _spy_k_rows(monkeypatch, cls):
+    """Record (rows of k, distinct t) of every f, F and curly_F call on ``cls``."""
+    calls = []
+    for name in ("f", "F", "curly_F"):
+        plain = getattr(cls, name)
+
+        def spy(self, k, t, plain=plain, name=name):
+            calls.append((name, int(np.size(k)), np.unique(np.abs(t)).size))
+            return plain(self, k, t)
+
+        monkeypatch.setattr(cls, name, spy)
+    return calls
+
+
+def test_weighted_gate_calls_the_drive_on_one_k_row(monkeypatch, plan):
+    calls = _spy_k_rows(monkeypatch, LogPower)
+    check_all(LogPower(2.0, 2.0, 2.0), plan, conditions=("H1", "H2", "H3", "H4", "H5"))
+    # one k row, except H4's f, which takes every k at its two |t| levels
+    assert {name for name, _, _ in calls} == {"f", "F", "curly_F"}
+    assert all(rows == 1 or (name, rows, levels) == ("f", plan.k_values.size, 2)
+               for name, rows, levels in calls)
+    assert sum(rows > 1 for _, rows, _ in calls) == 1
+
+
+def test_custom_drive_gate_calls_the_drive_on_the_full_k_block(monkeypatch):
+    small = SamplingPlan.default(k_max=50, t_min=1e-2, t_max=1e2, per_decade=2, s_points=3)
+    nl = CustomNonlinearity(2.0, lambda k, t: t ** 3, F_scalar=lambda k, t: t ** 4 / 4.0,
+                            odd=True)
+    calls = _spy_k_rows(monkeypatch, CustomNonlinearity)
+    check_all(nl, small, conditions=("H1", "H2", "H3", "H4", "H5"))
+    # every k of the plan, and H5's 81-row subsample (its f and F calls
+    # come from curly_F)
+    assert {rows for _, rows, _ in calls} == {small.k_values.size, 81}
+    assert {name for name, rows, _ in calls if rows == 81} == {"curly_F", "f", "F"}
 
 
 def test_positivity_log_power(plan, log22):

@@ -371,6 +371,31 @@ def test_newton_values_match_sequential_search(seed, K, p, v0, n_anchors, anchor
     assert (it, note) == (it_ref, note_ref)
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([200, 400]), st.sampled_from([2.0, 3.0]),
+       st.floats(0.5, 8.0), st.integers(1, 6), st.sampled_from(["even", "alternating", "random"]),
+       st.integers(0, 3))
+def test_wide_window_search_in_chunks_matches_sequential_search(seed, K, p, amplitude, width,
+                                                                signs, n_anchors):
+    # at n = 401 and 801 the step lengths after the full step are evaluated
+    # 10 and 5 to a residual call; the first passing row of the first chunk
+    # that has one is the point the one-at-a-time search accepts
+    rng = np.random.default_rng(seed)
+    prob = random_problem(rng, K=K, p=p)
+    k = prob.window.indices
+    sign = {"even": 1.0, "alternating": (-1.0) ** k,
+            "random": rng.choice([-1.0, 1.0], k.size)}[signs]
+    v0 = amplitude * sign * np.exp(-(k / width) ** 2)
+    centers = rng.integers(-3, 4, (n_anchors, 1))
+    anchors = (rng.uniform(0.5, 3.0, (n_anchors, 1)) * np.exp(-((k - centers) / width) ** 2)
+               if n_anchors else None)
+    cfg = SolverConfig(max_iter=30)
+    v, it, note = _newton_values(v0, prob, cfg, anchors)
+    v_ref, it_ref, note_ref = sequential_newton_values(v0, prob, cfg, anchors)
+    assert np.array_equal(v, v_ref)
+    assert (it, note) == (it_ref, note_ref)
+
+
 def test_search_examples_meet_a_zero_pivot_and_a_row_swap():
     prob, v0, _ = _search_case(**_ZERO_PIVOT)
     ab = _jacobian_bands(v0, prob)
@@ -439,6 +464,32 @@ def test_line_search_makes_at_most_two_residual_calls(monkeypatch):
     monkeypatch.undo()
     v_ref, _, _ = sequential_newton_values(v0, prob, cfg)
     assert np.array_equal(v, v_ref)
+
+
+@pytest.mark.parametrize("problem, v0, chunks", [
+    # accepted at alpha = 1/4, inside the first chunk of 5 step lengths
+    (make_reference_problem(K=400),
+     lambda k: 1.5 * np.exp(-k ** 2.0) * (-1.0) ** k, 1),
+    # accepted at alpha = 1/128, in the second chunk
+    (make_pure_power_problem(K=400),
+     lambda k: 4.0 * np.exp(-(k / 5.0) ** 2) * (-1.0) ** k, 2),
+], ids=["alpha_1_4", "alpha_1_128"])
+def test_wide_line_search_stops_at_the_first_chunk_that_passes(monkeypatch, problem, v0, chunks):
+    v0 = v0(problem.window.indices.astype(float))
+    calls = []
+    plain = solver.residual_many
+
+    def counted(V, prob):
+        calls.append(np.shape(V))
+        return plain(V, prob)
+
+    monkeypatch.setattr(solver, "residual_many", counted)
+    cfg = SolverConfig(max_iter=1)
+    v, it, note = _newton_values(v0, problem, cfg)
+    assert (it, note) == (1, "max_iter exceeded")
+    assert calls == [(801,), (1, 801)] + [(solver._SEARCH_BLOCK // 801, 801)] * chunks
+    monkeypatch.undo()
+    assert np.array_equal(v, sequential_newton_values(v0, problem, cfg)[0])
 
 
 def _count_newton_calls(monkeypatch):
