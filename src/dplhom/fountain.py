@@ -341,7 +341,7 @@ def superlinearity_threshold(prob: ProblemSpec, c_sup: float, h_n: int,
     left float64 range, and at which grid T, or else the margin still
     reached at ``t_hi``.
 
-    Where the drive has a ``weight`` (F = w(k) G(t), G >= 0, 0 < w <= 1),
+    Where the drive has a ``weight`` (F = w(k) G(t), G >= 0, 0 <= w <= 1),
     F is evaluated at the one k of least w on |k| <= h_n.  Rounding is
     monotone, so there F is least at every t, and finite wherever any F is:
     every pass, screen and overflow decision, and the margin in the error,

@@ -17,10 +17,10 @@ the reported witness; ``satisfied_on_samples`` is evidence from finitely
 many samples, never a proof of the quantified statement; trend-based
 checks that cannot tell either way return ``inconclusive``.
 
-A drive with a ``weight`` (``Nonlinearity.weight``: F = w(k) G(t), and f
-is w(k) times k-free factors, each product rounded, with a sign free of k)
-is checked on the samples that decide each check, and every report is
-the one the full k block gives:
+A drive with a ``weight`` (``Nonlinearity.weight``: F = w(k) G(t) with
+0 <= w <= 1, and f is w(k) times k-free factors, each product rounded, with
+a sign free of k) is checked on the samples that decide each check, and
+every report is the one the full k block gives:
 
     H2, H2p, H3  the k of greatest w.  Rounding is monotone, so |F| and |f|
                  are largest there at each t, and every sup over k is that
@@ -34,8 +34,8 @@ the one the full k block gives:
                  evidence for another weighted drive).
     H4           every k, at the t of the two |t| levels it compares.  Each
                  level's worst ratio is a minimum over its own t, and f is
-                 evaluated elementwise, so this is exact for every drive,
-                 and every drive takes it.
+                 evaluated elementwise, so this is exact for every drive;
+                 every drive takes it, and H4p takes its verdict as a base.
     H5           the k of greatest w, and no k subsample, where curly_F is
                  finite on that row (where it is not, rows of smaller w may
                  be, so the full block runs).  curly_F = f t - p F is a
@@ -43,9 +43,9 @@ the one the full k block gives:
                  up to rounding: evidence, not a proof.  The tests compare
                  the reports with the full block's on drawn plans.
 
-H3p and H4p need every k and t.  A drive without a weight
-(``CustomNonlinearity``) gets every k in every check, with H5's k
-subsampled to 81 rows.
+H3p and H4p need every k and t; H4p evaluates f once there, for both of its
+crossing probes.  A drive without a weight (``CustomNonlinearity``) gets
+every k in every check, with H5's k subsampled to 81 rows.
 
 ``inconsistency_demo`` quantifies why uniform superlinearity (H4p) and
 summability (H3p) cannot coexist: once |f(k,t)| >= 1 for |t| >= T1 and
@@ -258,27 +258,17 @@ def _check_H3(nl, plan) -> HypothesisReport:
                             detail="ratio decays too slowly to call")
 
 
-def _h4_profiles(nl, plan, t):
-    """Ratios f(k,t) t / |t|^p on ``t`` at every k, |t| levels, per-k worst ratio per level."""
-    k = plan.k_values[:, None]
-    ratio = nl.f(k, t[None, :]) * t[None, :] / np.abs(t)[None, :] ** nl.p
-    mags, level = np.unique(np.abs(t), return_inverse=True)
-    prof = np.full((mags.size, plan.k_values.size), np.inf)
-    np.minimum.at(prof, level, ratio.T)
-    return ratio, mags, prof.T
-
-
-def _check_H4(nl, plan, profiles=None) -> HypothesisReport:
+def _check_H4(nl, plan) -> HypothesisReport:
     t = plan.large_t()
     mags = np.unique(np.abs(t))
     if mags.size < 3:
         return HypothesisReport("H4", INCONCLUSIVE, detail="not enough large-t samples")
-    levels = [mags.size // 2, -1]  # the middle and the last |t| level are compared
-    if profiles is None:
-        t = t[np.isin(np.abs(t), mags[levels])]  # a level's worst ratio needs its t alone
-        levels = [0, 1]
-    _, _, prof = profiles or _h4_profiles(nl, plan, t)
-    g_mid, g_last = prof[:, levels].T
+    levels = mags[[mags.size // 2, -1]]  # the middle and the last |t| level are compared
+    t = t[np.isin(np.abs(t), levels)]  # a level's worst ratio needs its t alone
+    ratio = nl.f(plan.k_values[:, None], t[None, :]) * t[None, :] / np.abs(t)[None, :] ** nl.p
+    worst = np.full((2, plan.k_values.size), np.inf)  # minimum.at keeps t order in a +-0 tie
+    np.minimum.at(worst, np.searchsorted(levels, np.abs(t)), ratio.T)
+    g_mid, g_last = worst
     flat = g_last <= g_mid * (1.0 + _WITNESS_TOL) + _ZERO_TOL
     if np.any(flat):
         i = int(np.argmax(flat))
@@ -294,8 +284,7 @@ def _check_H4(nl, plan, profiles=None) -> HypothesisReport:
 
 
 def _check_H4p(nl, plan) -> HypothesisReport:
-    profiles = _h4_profiles(nl, plan, plan.large_t())
-    base = _check_H4(nl, plan, profiles)
+    base = _check_H4(nl, plan)
     if base.verdict == REFUTED:
         return HypothesisReport("H4p", REFUTED, witness=base.witness,
                                 detail="pointwise superlinearity already fails: " + base.detail)
@@ -303,15 +292,15 @@ def _check_H4p(nl, plan) -> HypothesisReport:
     # level 1?  Uniform divergence bounds that crossing amplitude over k;
     # a weight decaying in k pushes it beyond any fixed grid.
     t = plan.large_t()
-    k = plan.k_values[:, None]
-    hit = profiles[0] >= 1.0
+    f = nl.f(plan.k_values[:, None], t[None, :])
+    hit = f * t[None, :] / np.abs(t)[None, :] ** nl.p >= 1.0
     crossed = np.any(hit, axis=1)
     t_cross = np.where(crossed, np.abs(t)[np.argmax(hit, axis=1)], np.inf)
     if np.all(crossed):
         consts = {"T_level1": float(np.max(t_cross))}
         # The uniform floor |f| >= 1 then holds past some T1 as well;
         # report the sampled crossing for use by the growth demo.
-        fhit = np.abs(nl.f(k, t[None, :])) >= 1.0
+        fhit = np.abs(f) >= 1.0
         if np.all(np.any(fhit, axis=1)):
             consts["T1"] = float(np.max(np.abs(t)[np.argmax(fhit, axis=1)]))
         rep_verdict = SATISFIED if base.verdict == SATISFIED else INCONCLUSIVE

@@ -289,11 +289,13 @@ def forward_diff(u: LatticeSeq) -> np.ndarray:
     return _diff_many(u.values)
 
 
+def _norm_p_many(V: np.ndarray, coeffs: CoefficientField, p: float) -> np.ndarray:
+    return (np.sum(coeffs.a * np.abs(_diff_many(V)) ** p, axis=-1)
+            + np.sum(coeffs.b * np.abs(V) ** p, axis=-1))
+
+
 def weighted_norm_many(V: np.ndarray, coeffs: CoefficientField, p: float) -> np.ndarray:
-    V = np.asarray(V, dtype=float)
-    d = _diff_many(V)
-    s = np.sum(coeffs.a * np.abs(d) ** p, axis=-1) + np.sum(coeffs.b * np.abs(V) ** p, axis=-1)
-    return s ** (1.0 / p)
+    return _norm_p_many(np.asarray(V, dtype=float), coeffs, p) ** (1.0 / p)
 
 
 def weighted_norm(u: LatticeSeq, coeffs: CoefficientField, p: float) -> float:
@@ -319,10 +321,7 @@ def energy_parts_many(V: np.ndarray, prob: ProblemSpec, support: Optional[np.nda
     the total does not see.
     """
     V = np.asarray(V, dtype=float)
-    d = _diff_many(V)
-    c = prob.coeffs
-    norm_p = (np.sum(c.a * np.abs(d) ** prob.p, axis=-1)
-              + np.sum(c.b * np.abs(V) ** prob.p, axis=-1))
+    norm_p = _norm_p_many(V, prob.coeffs, prob.p)
     if support is None:
         terms = prob.nonlinearity.F(prob.window.indices, V)
     else:

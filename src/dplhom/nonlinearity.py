@@ -98,14 +98,16 @@ class Nonlinearity:
     def weight(self, k):
         """w(k) where F(k, t) is computed as w(k) G(t), or None where it is not.
 
-        A drive that returns a weight promises 0 < w(k) <= 1 and G >= 0, with
+        A drive that returns a weight promises 0 <= w(k) <= 1 and G >= 0, with
         G independent of k, and that f(k, t) is formed as w(k) times factors
         free of k, through rounded products, with a sign that does not depend
         on k.  Rounding is monotone, so at each t the least w(k) gives the
         least F and, as w(k) G <= G, F is finite at every k where it is
         finite at that one (``superlinearity_threshold`` relies on both); and
         the greatest w(k) gives the largest |f| and |F| (the hypothesis
-        checks rely on it).
+        checks rely on it).  A weight may underflow to 0 (``LogPower`` at
+        large mu): rounding stays monotone, and 0 * inf = NaN is non-finite
+        at exactly the t where w * inf = inf is.
         """
         return None
 
@@ -219,11 +221,12 @@ class LogPower(Nonlinearity):
     def df_dt(self, k, t):
         t_arr = np.asarray(t, dtype=float)
         s = np.abs(t_arr)
-        log_term = np.log1p(s ** self.nu)
+        s_nu = s ** self.nu
+        log_term = np.log1p(s_nu)
         with np.errstate(divide="ignore", invalid="ignore"):
             lead = (self.p - 1.0) * s ** (self.p - 2.0) * log_term
         lead = np.where(log_term == 0.0, 0.0, lead)  # t=0 limit is 0 for p>1
-        ratio = self.nu * s ** (self.p + self.nu - 2.0) / (1.0 + s ** self.nu)
+        ratio = self.nu * s ** (self.p + self.nu - 2.0) / (1.0 + s_nu)
         return _scalar_or_array(self.weight(k) * (lead + ratio), k, t)
 
     def growth_exponent(self) -> float:

@@ -99,6 +99,10 @@ _STEP_LENGTHS = np.cumprod(np.r_[1.0, np.full(MAX_BACKTRACKS - 1, LS_SHRINK)])
 # 0.58 and 0.52 s at 1024, 2048 and 8192, and 0.62 s with one call for all
 # 39 (medians of 10 alternating rounds in one interpreter, 2-core host).
 _SEARCH_BLOCK = 4096
+# _canonical_values counts an entry as significant above _SIGN_TOL_REL times
+# the largest |entry|; _strict_ladder's rungs are _LADDER_GAP max(1, |J|) apart.
+_SIGN_TOL_REL = 1e-12
+_LADDER_GAP = 1e-8
 
 
 def _search_chunks(n: int) -> list:
@@ -360,13 +364,13 @@ def window_continuation(result: SolveResult, prob: ProblemSpec, half_width_new: 
     )
 
 
-def _canonical_values(values: np.ndarray, odd: bool, tol_rel: float = 1e-12) -> np.ndarray:
+def _canonical_values(values: np.ndarray, odd: bool) -> np.ndarray:
     """A copy; for an odd drive, signed so the first significant entry is positive."""
     v = np.array(values, dtype=float)
     scale = float(np.max(np.abs(v)))
     if not odd or scale == 0.0:
         return v
-    idx = np.argmax(np.abs(v) > tol_rel * scale)
+    idx = np.argmax(np.abs(v) > _SIGN_TOL_REL * scale)
     if v[idx] < 0.0:
         v = -v
     return v
@@ -582,33 +586,32 @@ def solution_sequence(prob: ProblemSpec, cfg: SolverConfig, n_target: int) -> So
     """
     if n_target < 0:
         raise ValueError("n_target must be nonnegative")
-    out = SolutionSet(odd=prob.nonlinearity.is_odd)
     if n_target == 0:
-        return out
+        return SolutionSet(odd=prob.nonlinearity.is_odd)
     mp = _first_pass_state(prob, cfg)
     pool = _enumerate(prob, cfg, [] if mp is None else [mp], _candidate_starts(prob, max_site=4),
                       accept=lambda res: _sequence_accept(res, prob, cfg),
                       done=lambda stored: len(_strict_ladder(stored)) >= n_target,
                       max_rounds=6, jitter=0.05)
-    for r in _strict_ladder(pool)[:n_target]:
-        out.add(r)
+    # the rungs are pool members: canonical, in order and DEDUP_TOL apart
+    out = SolutionSet(odd=pool.odd, _items=_strict_ladder(pool)[:n_target])
     if len(out) < n_target:
         out.warning = (f"found {len(out)} of {n_target} requested solutions "
                        f"before the search budget ran out")
     return out
 
 
-def _strict_ladder(pool: SolutionSet, gap: float = 1e-8) -> list:
+def _strict_ladder(pool: SolutionSet) -> list:
     """Greedy strictly-increasing-energy subsequence of the pool.
 
-    A rung must clear the previous one by ``gap`` times max(1, |J|): an
+    A rung must clear the previous one by ``_LADDER_GAP`` times max(1, |J|): an
     absolute gap below |J| = 1, a relative one above, so that energies equal
     up to rounding (mirror-image states at large |J|) count as equal.
     """
     ladder = []
     last = -np.inf
     for r in pool:
-        if r.energy > last + gap * max(1.0, abs(r.energy)):
+        if r.energy > last + _LADDER_GAP * max(1.0, abs(r.energy)):
             ladder.append(r)
             last = r.energy
     return ladder

@@ -666,6 +666,44 @@ def _check_H4(nl, plan, profiles=None) -> HypothesisReport:
     return HypothesisReport("H4", INCONCLUSIVE, detail="growth too slow to call")
 
 
+# H4' as it stood while it passed its full large-|t| profiles to H4: every k,
+# every t, and f evaluated again for the |f| >= 1 probe.  Copied verbatim,
+# except that this file's _h4_profiles takes the large-|t| grid itself.
+def _check_H4p(nl, plan) -> HypothesisReport:
+    profiles = _h4_profiles(nl, plan)
+    base = _check_H4(nl, plan, profiles)
+    if base.verdict == REFUTED:
+        return HypothesisReport("H4p", REFUTED, witness=base.witness,
+                                detail="pointwise superlinearity already fails: " + base.detail)
+    # Uniformity probe: where does the ratio f(k,t) t / |t|^p first reach
+    # level 1?  Uniform divergence bounds that crossing amplitude over k;
+    # a weight decaying in k pushes it beyond any fixed grid.
+    t = plan.large_t()
+    k = plan.k_values[:, None]
+    hit = profiles[0] >= 1.0
+    crossed = np.any(hit, axis=1)
+    t_cross = np.where(crossed, np.abs(t)[np.argmax(hit, axis=1)], np.inf)
+    if np.all(crossed):
+        consts = {"T_level1": float(np.max(t_cross))}
+        # The uniform floor |f| >= 1 then holds past some T1 as well;
+        # report the sampled crossing for use by the growth demo.
+        fhit = np.abs(nl.f(k, t[None, :])) >= 1.0
+        if np.all(np.any(fhit, axis=1)):
+            consts["T1"] = float(np.max(np.abs(t)[np.argmax(fhit, axis=1)]))
+        rep_verdict = SATISFIED if base.verdict == SATISFIED else INCONCLUSIVE
+        return HypothesisReport("H4p", rep_verdict, constants=consts,
+                                detail="the superlinearity ratio reaches 1 for every "
+                                       f"sampled k by |t| = {consts['T_level1']:.4g}")
+    if np.any(crossed):
+        missing = ~crossed
+        i = int(np.argmax(np.abs(plan.k_values) * missing))
+        return HypothesisReport(
+            "H4p", REFUTED, witness=(int(plan.k_values[i]), float(np.max(np.abs(t)))),
+            detail=f"the ratio at k={plan.k_values[i]} never reaches 1 on the grid "
+                   f"while other k cross at |t| <= {float(np.min(t_cross)):.4g}")
+    return HypothesisReport("H4p", INCONCLUSIVE,
+                            detail="the ratio stays below 1 on the whole grid")
+
 
 def _check_H5(nl, plan) -> HypothesisReport:
     t = plan.t_values[plan.t_values != 0.0]
@@ -697,10 +735,11 @@ def _check_H5(nl, plan) -> HypothesisReport:
 
 
 def full_block_report(nl, plan, condition):
-    """The report of H1, H2, H2p, H3, H4 or H5 from the full (k, t) block."""
+    """The report of H1, H2, H2p, H3, H4, H4p or H5 from the full (k, t) block."""
     if condition in ("H2", "H2p"):
         return _growth_bound(nl, plan, condition)
-    return {"H1": _check_H1, "H3": _check_H3, "H4": _check_H4, "H5": _check_H5}[condition](nl, plan)
+    return {"H1": _check_H1, "H3": _check_H3, "H4": _check_H4, "H4p": _check_H4p,
+            "H5": _check_H5}[condition](nl, plan)
 
 
 # The record writers as they stood before they skipped the walk over finite

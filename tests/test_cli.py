@@ -413,6 +413,21 @@ def test_solution_records_roundtrip_through_verify(tmp_path_factory, p, K, drive
     assert drifts["residual_inf_norm"] <= 1e-12
 
 
+def test_verify_record_rebuilds_the_window_of_a_wider_record(tmp_path):
+    # a continued solution lives on a wider window than its config's; the
+    # record's own half-width decides where the scalars are recomputed
+    cfg = parse_config_text("\n".join(SEQ_LINES) + "\n")
+    prob = cfg.build_problem().with_half_width(15)
+    res = newton_solve(LatticeSeq.spike(prob.window, 0, 1.0), prob, cfg.build_solver())
+    path = tmp_path / "solution.json"
+    save_json(path, solution_record(cfg, 0, res))
+    rec = load_json(path)
+    assert rec["half_width"] == 15 and "problem.half_width = 12" in rec["config"]
+    drifts = verify_record(rec)
+    assert drifts["energy"] <= 1e-12
+    assert drifts["residual_inf_norm"] <= 1e-12
+
+
 JSON_SCALARS = (st.none() | st.booleans() | st.integers(-10**6, 10**6)
                 | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=8))
 JSON_KEYS = st.text("abfloty", max_size=6)  # the tag {"$float": name} is reserved

@@ -522,6 +522,43 @@ def test_threshold_note_names_the_overflowing_term():
         superlinearity_threshold(ProblemSpec(2.0, 1.0, coeffs, sink), c_sup=1.0, h_n=1)
 
 
+def test_threshold_at_the_first_grid_point():
+    # F = t^4 / 4 >= 2e-12 t^2 from t = 2.8e-6, below the search's first T = 1e-3
+    prob = ProblemSpec(2.0, 1.0, CoefficientField.constant(Window(3)), PurePower(2.0, 4.0))
+    T = superlinearity_threshold(prob, c_sup=1e-12, h_n=0)
+    assert T == 1e-3 == per_point_threshold(prob, 1e-12, 0)
+
+
+def test_threshold_note_when_no_nonnegative_margin_lasts_a_decade():
+    # F = 4 t^2 only on 9 <= |t| <= 11: the margin is nonnegative at t_hi = 10,
+    # but every [T, 10T] reaches t > 11, where F is 0
+    band = CustomNonlinearity(2.0, lambda k, t: 8.0 * t if 9.0 <= abs(t) <= 11.0 else 0.0,
+                              F_scalar=lambda k, t: 4.0 * t * t if 9.0 <= abs(t) <= 11.0 else 0.0,
+                              odd=True, name="band")
+    prob = ProblemSpec(2.0, 1.0, CoefficientField.constant(Window(3)), band)
+    with pytest.raises(FountainGeometryError,
+                       match=r": every grid point with a nonnegative margin fails on \[T, 10T\]$"):
+        superlinearity_threshold(prob, c_sup=1.0, h_n=1, t_hi=10.0)
+
+
+@pytest.mark.parametrize("h_n", [0, 50, 80, 100])
+@pytest.mark.parametrize("c_sup", [0.5, 3.0])
+def test_threshold_with_weights_that_underflow_to_zero(c_sup, h_n):
+    # at mu = 500, w(k) = (1 + |k|)^-500 is 0.0 from |k| = 4 on; the weight
+    # contract allows w = 0, and the one-row scan still equals the plain scan
+    nl = LogPower(2.0, 500.0, 2.0)
+    assert np.count_nonzero(nl.weight(np.arange(-100, 101)) == 0.0) == 194
+    prob = ProblemSpec(2.0, 1.0, CoefficientField.constant(Window(100)), nl)
+    try:
+        want = per_point_threshold(prob, c_sup, h_n)
+    except FountainGeometryError as exc:
+        with pytest.raises(FountainGeometryError) as got:
+            superlinearity_threshold(prob, c_sup, h_n)
+        assert str(got.value).startswith(str(exc) + ": ")
+    else:
+        assert superlinearity_threshold(prob, c_sup, h_n) == want
+
+
 def test_y_radius_strictly_dominates():
     assert y_sphere_radius(1.0, 2.0, 1.5, 33.0, 8.9) > 8.9
     assert y_sphere_radius(1.0, 2.0, 1e-9, 1e-9, 7.0) > 7.0

@@ -247,6 +247,87 @@ def test_H4_on_its_two_levels_gives_the_full_grid_report_for_a_custom_drive(plan
     assert rep == full_block_report(nl, plan, "H4")
 
 
+@pytest.mark.parametrize("t_max", [1e3, 1e80, 1e200])
+def test_gate_with_weights_that_underflow_to_zero(t_max):
+    # at mu = 500 the weight is 0.0 at 194 of the 201 k: w = 0 keeps rounding
+    # monotone, so the rows of greatest w still decide every check
+    nl = LogPower(2.0, 500.0, 2.0)
+    plan = SamplingPlan.default(k_max=100, t_max=t_max)
+    assert np.count_nonzero(nl.weight(plan.k_values) == 0.0) == 194
+    with np.errstate(all="ignore"):
+        for cond in GATE:
+            assert repr(check_hypothesis(nl, cond, plan)) == repr(full_block_report(nl, plan, cond))
+
+
+# numpy scalars, so that |t| up to 1e200 overflows to inf rather than raising
+_NOT_ODD = CustomNonlinearity(2.0, lambda k, t: np.float64(t) ** 3 + t * t,
+                              F_scalar=lambda k, t: np.float64(t) ** 4 / 4 + t ** 3 / 3,
+                              name="not_odd")
+# plans whose large-|t| grid is not empty, up to |t| where f overflows
+_H4_PLAN = st.builds(
+    lambda k_max, t_min, t_max, per_decade: SamplingPlan.default(k_max, t_min, t_max,
+                                                                 per_decade, 2),
+    st.integers(1, 60), st.sampled_from([1e-8, 1e-3, 0.05]) | st.floats(1e-12, 0.5),
+    st.sampled_from([1.5, 1e3, 1e80, 1e200]) | st.floats(1.5, 1e12), st.integers(1, 12))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_LOG_POWER | _PURE_POWER
+       | st.sampled_from([_NOT_ODD, PurePower(2.0, 2.02, 1e-14)]),  # the last never reaches 1
+       _H4_PLAN)
+@example(PurePower(2.0, 2.02, 1e-14), SamplingPlan.default(20, 1e-8, 1e200, 4, 2))  # below 1
+@example(_NOT_ODD, SamplingPlan.default(5, 1e-3, 1e3, 6, 2))
+@example(LogPower(2.0, 2.0, 2.0), SamplingPlan.default(60, 1e-8, 1e3, 12, 2))  # H4' refuted
+def test_H4_and_H4p_give_the_full_profile_reports(nl, plan):
+    # H4 on its two |t| levels and H4' on one evaluation of the large-|t|
+    # block report what the full profiles of every level gave
+    with np.errstate(all="ignore"):
+        for cond in ("H4", "H4p"):
+            assert repr(check_hypothesis(nl, cond, plan)) == repr(full_block_report(nl, plan, cond))
+
+
+def test_H1_without_positive_t_is_inconclusive(log22):
+    plan0 = SamplingPlan(np.arange(-2, 3), np.array([-1.0, 0.0]), np.array([0.5]))
+    rep = check_hypothesis(log22, "H1", plan0)
+    assert (rep.verdict, rep.detail) == ("inconclusive", "no nonzero t samples")
+
+
+def test_H4p_refuted_where_H4_is(plan):
+    rep = check_hypothesis(pure_p_power(), "H4p", plan)
+    assert rep.refuted
+    assert rep.witness == check_hypothesis(pure_p_power(), "H4", plan).witness
+    assert rep.detail.startswith("pointwise superlinearity already fails: ratio at k=")
+
+
+def test_H4p_inconclusive_below_level_one(plan):
+    # f t / |t|^p = 1e-14 t^2 stays below 1e-8 up to |t| = 1e3
+    rep = check_hypothesis(PurePower(2.0, 4.0, 1e-14), "H4p", plan)
+    assert (rep.verdict, rep.detail) == ("inconclusive",
+                                         "the ratio stays below 1 on the whole grid")
+    assert check_hypothesis(PurePower(2.0, 4.0, 1e-14), "H4", plan).verdict == \
+        "satisfied_on_samples"
+
+
+def test_H3p_needs_eight_k():
+    rep = check_hypothesis(PurePower(2.0, 4.0), "H3p", SamplingPlan.default(k_max=7))
+    assert (rep.verdict, rep.detail) == ("inconclusive", "k range too small")
+
+
+def test_H3p_satisfied_where_the_tail_vanishes(plan):
+    rep = check_hypothesis(CustomNonlinearity.zero(2.0), "H3p", plan)
+    assert rep.verdict == "satisfied_on_samples"
+    assert rep.detail == "tail contributions vanish on the sampled range"
+    assert rep.constants == {"T": plan.summability_T, "partial_sum": 0.0}
+
+
+def test_H3p_inconclusive_for_a_barely_summable_weight(plan):
+    # w = (1 + |k|)^-1.01: the increments do not shrink on |k| <= 100, yet the
+    # outer terms are below half the inner ones
+    rep = check_hypothesis(LogPower(2.0, 1.01, 2.0), "H3p", plan)
+    assert (rep.verdict, rep.detail) == ("inconclusive", "decay too slow to certify summability")
+    assert rep.constants["tail_ratio"] >= 0.99
+
+
 def _spy_k_rows(monkeypatch, cls):
     """Record (rows of k, distinct t) of every f, F and curly_F call on ``cls``."""
     calls = []

@@ -152,6 +152,14 @@ def test_table_coefficients_refuse_rewindow():
         field.with_window(Window(4))
 
 
+def test_function_coefficients_default_the_floor_to_the_least_b():
+    # without b0 the floor is min b on the window, which is then kept on rewindowing
+    field = CoefficientField.from_functions(Window(3), lambda k: np.full(k.shape, 2.0),
+                                            lambda k: 3.0 + np.abs(k).astype(float))
+    assert field.b0 == 3.0 and field.b.tolist() == [6.0, 5.0, 4.0, 3.0, 4.0, 5.0, 6.0]
+    assert field.with_window(Window(5)).b0 == 3.0
+
+
 def test_problem_spec_validation():
     w = Window(2)
     c = CoefficientField.constant(w)
