@@ -292,6 +292,8 @@ def _check_H4p(nl, plan) -> HypothesisReport:
     # level 1?  Uniform divergence bounds that crossing amplitude over k;
     # a weight decaying in k pushes it beyond any fixed grid.
     t = plan.large_t()
+    if t.size == 0:  # t_max < 1: nothing to probe, as H4 finds
+        return HypothesisReport("H4p", INCONCLUSIVE, detail="not enough large-t samples")
     f = nl.f(plan.k_values[:, None], t[None, :])
     hit = f * t[None, :] / np.abs(t)[None, :] ** nl.p >= 1.0
     crossed = np.any(hit, axis=1)

@@ -10,13 +10,14 @@ The workhorses:
     find_critical_points  multistart and deflation inventory of reachable roots
 
 newton_solve and deflated_solve share one damped Newton loop, which stops
-where its step or its Armijo search fails.  The search tries the full step
-alone, then evaluates the shorter step lengths in order, in batched
-residual and deflation calls of about _SEARCH_BLOCK values each (all of
-them in one call up to n = 105), and keeps the first that passes: the
-point a one-at-a-time search would accept, with the same bits.  Deflation
-multiplies the residual by M(v) = prod_i (1 + ||v - w_i||^-p) over the
-known roots w_i, and their negations for an odd drive.  The Jacobian
+where its step or its Armijo search fails.  The search evaluates the step
+lengths 1, 1/2, 1/4, ... in order, in batched residual calls: all 40 in
+one call up to n = 25 (_SEARCH_MERGE), and above that the full step alone,
+then the others about _SEARCH_BLOCK values to a call (all 39 in one up to
+n = 105).  It keeps the first that passes: the point a one-at-a-time search
+would accept, with the same bits.  Deflation multiplies the residual by
+M(v) = prod_i (1 + ||v - w_i||^-p) over the known roots w_i, and their
+negations for an odd drive.  The Jacobian
 M J + r grad(M)^T of M r is tridiagonal plus rank one, so by
 Sherman-Morrison its Newton step is the plain tridiagonal step delta times
 the scalar 1 / (1 - grad(log M).delta) (Farrell, Birkisson & Funke, SIAM J.
@@ -70,8 +71,8 @@ class MountainPassError(RuntimeError):
 
 
 # Fixed solver geometry.  Line search: step shrink factor and Armijo
-# sufficient-decrease factor, at most MAX_BACKTRACKS trials; the full step is
-# tried alone, then the other step lengths in batches (``_search_chunks``).
+# sufficient-decrease factor, at most MAX_BACKTRACKS trials, in order, in the
+# batches of ``_search_chunks``.
 # JACOBIAN_CAP caps phi_p' in the Jacobian (p < 2).  Mountain pass: PATH_POINTS points of
 # the segment are searched for the energy maximum.  Acceptance: the tail
 # starts at TAIL_FRACTION of the half-width; TAIL_TOL bounds its mass,
@@ -99,6 +100,16 @@ _STEP_LENGTHS = np.cumprod(np.r_[1.0, np.full(MAX_BACKTRACKS - 1, LS_SHRINK)])
 # 0.58 and 0.52 s at 1024, 2048 and 8192, and 0.62 s with one call for all
 # 39 (medians of 10 alternating rounds in one interpreter, 2-core host).
 _SEARCH_BLOCK = 4096
+# Values up to which the full step shares one call with the other 39 step
+# lengths (40 n <= 1024: n <= 25).  Evaluating 40 trial rows (residual and
+# merit, or with M at 3 anchors) costs 1.3-1.8 times one row at n <= 11,
+# 1.6-2.0 times at n = 15-27 and 3.3-4.3 times at n = 101 (best of 7
+# timings, PurePower and LogPower, 2-core host).  The merged call saves time
+# once a share (C40 - C1) / C39 of the full steps fails: 0.25-0.45 at
+# n <= 11, 0.43-0.47 at n = 25, 0.62-0.65 at n = 51, 0.71-0.78 at n = 101.
+# In a benchmark enumerate round (n = 3 and 5) 82% fail; a ladder round
+# (n >= 101) runs mostly near converged solves, whose full steps pass.
+_SEARCH_MERGE = 1024
 # _canonical_values counts an entry as significant above _SIGN_TOL_REL times
 # the largest |entry|; _strict_ladder's rungs are _LADDER_GAP max(1, |J|) apart.
 _SIGN_TOL_REL = 1e-12
@@ -106,14 +117,20 @@ _LADDER_GAP = 1e-8
 
 
 def _search_chunks(n: int) -> list:
-    """The step lengths of the Armijo search at n sites, one array per residual call.
+    """The Armijo search at n sites: (step lengths, Armijo factors) per residual call.
 
-    The full step alone, then the others in order, max(1, _SEARCH_BLOCK // n)
-    to a call.
+    Up to _SEARCH_MERGE values every step length goes in one call.  Above it
+    the full step goes alone, then the others in order, max(1,
+    _SEARCH_BLOCK // n) to a call.  Step lengths come as a column, and the
+    factor of step length alpha is 1 - 2 LS_DECREASE alpha.
     """
-    rows = max(1, _SEARCH_BLOCK // n)
-    return [_STEP_LENGTHS[:1]] + [_STEP_LENGTHS[j:j + rows]
-                                  for j in range(1, MAX_BACKTRACKS, rows)]
+    if MAX_BACKTRACKS * n <= _SEARCH_MERGE:
+        chunks = [_STEP_LENGTHS]
+    else:
+        rows = max(1, _SEARCH_BLOCK // n)
+        chunks = [_STEP_LENGTHS[:1]] + [_STEP_LENGTHS[j:j + rows]
+                                        for j in range(1, MAX_BACKTRACKS, rows)]
+    return [(alphas[:, None], 1.0 - 2.0 * LS_DECREASE * alphas) for alphas in chunks]
 
 
 @dataclass(frozen=True)
@@ -169,18 +186,42 @@ def _finish(v: np.ndarray, prob: ProblemSpec, cfg: SolverConfig, iterations: int
     )
 
 
-def _jacobian_bands(v: np.ndarray, prob: ProblemSpec) -> np.ndarray:
-    """Banded (ab) form of the tridiagonal residual Jacobian."""
+def _band_constants(prob: ProblemSpec):
+    """The parts of the Jacobian bands free of v: (off-diagonal, main diagonal) or None.
+
+    At p = 2, phi_p' is 1.0 everywhere and x * 1.0 = x, so the off-diagonals
+    are -a(k) and the main diagonal is (a(k) + a(k+1)) + b(k) - lambda f_t(k, v),
+    the bits of the general formula.  For p != 2 nothing is constant: None.
+    """
+    if prob.p != 2.0:
+        return None
+    a = prob.coeffs.a
+    return -a[1:-1], (a[:-1] + a[1:]) + prob.coeffs.b
+
+
+def _jacobian_bands(v: np.ndarray, prob: ProblemSpec, const=None) -> np.ndarray:
+    """Banded (ab) form of the tridiagonal residual Jacobian.
+
+    ``const`` is ``_band_constants(prob)``, which the Newton loop builds once
+    per solve; without it they are built here.
+    """
     n = v.size
-    a, b = prob.coeffs.a, prob.coeffs.b
-    w = phi_p_prime(prob.p, _diff_many(v), cap=JACOBIAN_CAP)  # length n+1
-    wp = phi_p_prime(prob.p, v, cap=JACOBIAN_CAP)
-    k = prob.window.indices
-    main = a[:-1] * w[:-1] + a[1:] * w[1:] + b * wp - prob.lam * prob.nonlinearity.df_dt(k, v)
+    drive = prob.lam * prob.nonlinearity.df_dt(prob.window.indices, v)
+    if const is None:
+        const = _band_constants(prob)
+    if const is None:
+        a, b = prob.coeffs.a, prob.coeffs.b
+        w = phi_p_prime(prob.p, _diff_many(v), cap=JACOBIAN_CAP)  # length n+1
+        wp = phi_p_prime(prob.p, v, cap=JACOBIAN_CAP)
+        off = -(a[1:-1] * w[1:-1])
+        main = a[:-1] * w[:-1] + a[1:] * w[1:] + b * wp - drive
+    else:
+        off, base = const
+        main = base - drive
     ab = np.zeros((3, n))
-    ab[0, 1:] = -(a[1:-1] * w[1:-1])   # superdiagonal: dr[i]/dv[i+1]
+    ab[0, 1:] = off   # superdiagonal: dr[i]/dv[i+1]
     ab[1, :] = main
-    ab[2, :-1] = -(a[1:-1] * w[1:-1])  # subdiagonal: dr[i]/dv[i-1]
+    ab[2, :-1] = off  # subdiagonal: dr[i]/dv[i-1]
     return ab
 
 
@@ -189,13 +230,16 @@ def _newton_values(v0: np.ndarray, prob: ProblemSpec, cfg: SolverConfig,
     """Core damped Newton loop on raw values; returns (v, iters, note).
 
     With an (m, n) ``anchors`` array the loop runs on the deflated residual
-    M r, M = prod_i (1 + ||v - w_i||^-p).  Its merit is ||M r||^2, and
-    its step is the tridiagonal Newton step delta over 1 - grad(log M).delta:
-    Sherman-Morrison on M J + r grad(M)^T.  The Armijo search tries alpha = 1,
-    then the LS_SHRINK^j, 0 < j < MAX_BACKTRACKS, in order, a batch of
-    max(1, _SEARCH_BLOCK // n) at a time, and takes the longest step that
-    passes: the first batch with a passing row ends the search.  Either
-    loop stops at the first iteration whose Newton step is missing
+    M r, M = prod_i (1 + ||v - w_i||^-p); without, M is 1.0.  Its merit is
+    ||M r||^2, and its step is the tridiagonal Newton step delta over
+    1 - grad(log M).delta: Sherman-Morrison on M J + r grad(M)^T.  The Armijo
+    search visits alpha = 1, then the LS_SHRINK^j, 0 < j < MAX_BACKTRACKS,
+    in order, in the residual calls of ``_search_chunks``: all 40 in one call
+    while 40 n <= _SEARCH_MERGE, else alpha = 1 alone and then
+    max(1, _SEARCH_BLOCK // n) at a time.  It keeps the first passing row of
+    the first call that has one, the longest step that passes.  The trial
+    rows get M alone; grad(log M) is taken at the accepted point only.
+    Either loop stops at the first iteration whose Newton step is missing
     (singular, non-finite or at least 1e14) or whose Armijo search fails,
     and the deflated loop also stops at a start that sits on an anchor.
     """
@@ -204,47 +248,43 @@ def _newton_values(v0: np.ndarray, prob: ProblemSpec, cfg: SolverConfig,
     v = np.array(v0, dtype=float)
     deflate = anchors is not None
     stop_note = "deflated iteration diverged" if deflate else "no descent direction made progress"
-
-    def deflation(x):
-        return _deflation_terms(x, anchors, prob.p) if deflate else (np.ones(x.shape[:-1]), None)
-
     r = residual_many(v, prob)
-    M, dlogM = deflation(v)
+    M, dlogM = _deflation_terms(v, anchors, prob.p) if deflate else (1.0, None)
+    if not math.isfinite(M):  # the start sits on an anchor
+        return v, 0, stop_note
+    const = _band_constants(prob)
     chunks = _search_chunks(v.size)
     note = ""
     it = 0
-    if not math.isfinite(M):  # the start sits on an anchor
-        return v, it, stop_note
-    while not M * float(np.max(np.abs(r))) <= cfg.residual_tol:  # a NaN residual still steps
+    while not M * float(np.abs(r).max()) <= cfg.residual_tol:  # a NaN residual still steps
         if it == cfg.max_iter:
             note = "max_iter exceeded"
             break
         it += 1
         merit = float(r @ r) * (M * M)
-        ab = _jacobian_bands(v, prob)
+        ab = _jacobian_bands(v, prob, const)
         # LAPACK's tridiagonal solve, as solve_banded((1, 1), ab, -r) calls it
-        _, _, _, cand, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], -r)
-        delta = None
-        if info == 0:  # info > 0: a zero pivot, the Jacobian is singular
+        _, _, _, delta, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], -r)
+        if info == 0 and deflate:  # info > 0: a zero pivot, the Jacobian is singular
+            delta = delta / (1.0 - float(dlogM @ delta))
+        if info != 0 or not (np.isfinite(delta).all() and float(np.abs(delta).max()) < 1e14):
+            note = stop_note
+            break
+        for alphas, factors in chunks:
+            V_try = v + alphas * delta
+            R_try = residual_many(V_try, prob)
+            m_try = np.vecdot(R_try, R_try)  # row j: r_j @ r_j, bit for bit
             if deflate:
-                cand = cand / (1.0 - float(dlogM @ cand))
-            if np.all(np.isfinite(cand)) and float(np.max(np.abs(cand))) < 1e14:
-                delta = cand
-        stepped = False
-        if delta is not None:
-            for alphas in chunks:
-                V_try = v + alphas[:, None] * delta
-                R_try = residual_many(V_try, prob)
-                M_try, dlogM_try = deflation(V_try)
-                m_try = np.vecdot(R_try, R_try) * (M_try * M_try)  # row j: r_j @ r_j, bit for bit
-                ok = np.isfinite(m_try) & (m_try <= (1.0 - 2.0 * LS_DECREASE * alphas) * merit)
-                if ok.any():
-                    j = int(ok.argmax())
-                    v, r, M = V_try[j], R_try[j], M_try[j]
-                    dlogM = dlogM_try[j] if deflate else None
-                    stepped = True
-                    break
-        if not stepped:
+                M_try = _deflation_terms(V_try, anchors, prob.p, gradient=False)
+                m_try = m_try * (M_try * M_try)
+            ok = np.isfinite(m_try) & (m_try <= factors * merit)
+            if ok.any():
+                j = int(ok.argmax())
+                v, r = V_try[j], R_try[j]
+                if deflate:  # the row's bits, as in the batch
+                    M, dlogM = _deflation_terms(v, anchors, prob.p)
+                break
+        else:
             note = stop_note
             break
     return v, it, note
@@ -285,18 +325,20 @@ def mountain_pass(u_low: LatticeSeq, u_high: LatticeSeq, prob: ProblemSpec,
     return res
 
 
-def _deflation_terms(v: np.ndarray, anchors: np.ndarray, power: float):
+def _deflation_terms(v: np.ndarray, anchors: np.ndarray, power: float, gradient: bool = True):
     """M = prod_i (1 + ||v - w_i||^-power) over the anchor rows, and grad log M.
 
     Batched over the leading axes of ``v``; each row gets the bits a call on
     that row alone gets.  M is inf, and its gradient NaN, where v sits
-    exactly on an anchor.
+    exactly on an anchor.  With ``gradient`` false, M alone is returned.
     """
     dv = v[..., None, :] - anchors
     s2 = np.einsum("...ij,...ij->...i", dv, dv)
     with np.errstate(divide="ignore", invalid="ignore"):  # 0^-power on an anchor
         t = s2 ** (-0.5 * power)
         m = 1.0 + t
+        if not gradient:
+            return m.prod(axis=-1)
         grad = (-power * t / (s2 * m))[..., None, :] @ dv
     return m.prod(axis=-1), grad[..., 0, :]
 

@@ -317,6 +317,20 @@ def test_check_inconclusive_only_exit_code(tmp_path):
     assert run_cli("check", cfg, tmp_path / "out") == cli.EXIT_INCONCLUSIVE
 
 
+def test_check_with_t_max_below_one(tmp_path):
+    # no |t| >= 1 sample: H2 and H4 are inconclusive, and H4' is reported as
+    # inconclusive too instead of ending the run with a usage error
+    text = (CONFIG_DIR / "reference.cfg").read_text(encoding="utf-8")
+    cfg = write_config(tmp_path, [text, "check.t_max = 0.5"])
+    out = tmp_path / "out"
+    assert run_cli("check", cfg, out) == cli.EXIT_INCONCLUSIVE
+    reports = load_json(out / "check_report.json")["reports"]
+    assert {name: rep["verdict"] for name, rep in reports.items()
+            if rep["verdict"] != "satisfied_on_samples"} == {
+        "H2": "inconclusive", "H4": "inconclusive", "H4p": "inconclusive"}
+    assert reports["H4p"]["detail"] == "not enough large-t samples"
+
+
 @pytest.mark.parametrize("line", ["check.required = H7", "check.conditions = H9"])
 def test_check_unknown_required_condition(tmp_path, capsys, line):
     cfg = write_config(tmp_path, PURE_POWER_LINES + [line])

@@ -308,6 +308,19 @@ def test_H4p_inconclusive_below_level_one(plan):
         "satisfied_on_samples"
 
 
+@pytest.mark.parametrize("nl", [LogPower(2.0, 2.0, 2.0), PurePower(2.0, 4.0)],
+                         ids=["log_power", "pure_power"])
+def test_H4p_inconclusive_without_large_t(nl):
+    # t_max < 1 leaves no |t| >= 1 to probe: H4' answers as H4 does, where
+    # the crossing probe once took an argmax over an empty grid
+    plan = SamplingPlan.default(t_max=0.5)
+    assert plan.large_t().size == 0
+    for cond in ("H4", "H4p"):
+        rep = check_hypothesis(nl, cond, plan)
+        assert (rep.condition, rep.verdict, rep.detail, rep.witness, rep.constants) == (
+            cond, "inconclusive", "not enough large-t samples", None, {})
+
+
 def test_H3p_needs_eight_k():
     rep = check_hypothesis(PurePower(2.0, 4.0), "H3p", SamplingPlan.default(k_max=7))
     assert (rep.verdict, rep.detail) == ("inconclusive", "k range too small")

@@ -396,6 +396,78 @@ def test_wide_window_search_in_chunks_matches_sequential_search(seed, K, p, ampl
     assert (it, note) == (it_ref, note_ref)
 
 
+_SMALL_WIDTH = 31  # K = 15; a case takes the first n = 2K + 1 sites
+
+
+def _small_window_case(seed, K, p, drive, v0, n_anchors, anchors):
+    rng = np.random.default_rng(seed)
+    window = Window(K)
+    n = window.size
+    coeffs = CoefficientField.from_arrays(window, rng.uniform(0.5, 2.0, n + 1),
+                                          rng.uniform(0.8, 3.0, n))
+    nl = (PurePower(p, q=p + float(rng.uniform(0.5, 2.0))) if drive == "pure"
+          else LogPower(p, mu=2.0, nu=p))
+    prob = ProblemSpec(p, float(rng.uniform(0.1, 2.0)), coeffs, nl)
+    return prob, v0[:n], (anchors[:n_anchors, :n] if n_anchors else None)
+
+
+_NO_ANCHORS = dict(n_anchors=0, anchors=np.zeros((3, _SMALL_WIDTH)))
+# row 0 of the first Jacobian is zero at p = 3 on (0, 0, 1): no Newton step
+_SMALL_ZERO_PIVOT = dict(seed=0, K=1, p=3.0, drive="pure", v0=np.r_[0.0, 0.0, 1.0, np.zeros(28)],
+                         **_NO_ANCHORS)
+# the start is the first anchor: the deflated loop stops before its first step
+_SMALL_ON_ANCHOR = dict(seed=1, K=2, p=2.0, drive="pure", v0=np.full(_SMALL_WIDTH, 0.5),
+                        n_anchors=2, anchors=np.r_[[np.full(_SMALL_WIDTH, 0.5)],
+                                                   np.zeros((2, _SMALL_WIDTH))])
+# a NaN residual at the start of a deflated run: M is NaN as well, and both
+# loops stop there (the oracle's solve_banded rejects a non-finite residual,
+# so a plain run from a NaN start has nothing to compare)
+_SMALL_NAN = dict(seed=2, K=1, p=1.5, drive="log", v0=np.r_[1.0, np.nan, np.zeros(29)],
+                  n_anchors=1, anchors=np.zeros((3, _SMALL_WIDTH)))
+# the largest window whose search is one call, and the next one
+_SMALL_MERGED, _SMALL_SPLIT = (
+    dict(seed=5, K=K, p=2.0, drive="log", v0=np.r_[np.zeros(K - 2), 2.0, -1.5, 2.5,
+                                                   np.zeros(_SMALL_WIDTH + 1 - K)],
+         **_NO_ANCHORS)
+    for K in (12, 13))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 15), st.sampled_from([1.5, 2.0, 3.0]),
+       st.sampled_from(["pure", "log"]),
+       hnp.arrays(np.float64, _SMALL_WIDTH, elements=_GRID | st.floats(-4.0, 4.0)),
+       st.integers(0, 3), hnp.arrays(np.float64, (3, _SMALL_WIDTH), elements=_GRID))
+@example(**_SMALL_ZERO_PIVOT)
+@example(**_SMALL_ON_ANCHOR)
+@example(**_SMALL_NAN)
+@example(**_SMALL_MERGED)
+@example(**_SMALL_SPLIT)
+def test_small_window_search_matches_sequential_search(seed, K, p, drive, v0, n_anchors,
+                                                       anchors):
+    # up to 40 n = _SEARCH_MERGE the full step shares one residual call with
+    # the other 39 step lengths, and the first passing row is accepted: the
+    # point, iteration count and stop note of the one-at-a-time search
+    prob, v0, anchors = _small_window_case(seed, K, p, drive, v0, n_anchors, anchors)
+    cfg = SolverConfig(max_iter=30)
+    v, it, note = _newton_values(v0, prob, cfg, anchors)
+    v_ref, it_ref, note_ref = sequential_newton_values(v0, prob, cfg, anchors)
+    assert np.array_equal(v, v_ref, equal_nan=True)
+    assert (it, note) == (it_ref, note_ref)
+
+
+def test_small_window_examples_meet_their_cases():
+    def run(case):
+        prob, v0, anchors = _small_window_case(**case)
+        return prob.window.size, _newton_values(v0, prob, SolverConfig(max_iter=30), anchors)
+
+    assert run(_SMALL_ZERO_PIVOT)[1][1:] == (1, "no descent direction made progress")
+    assert run(_SMALL_ON_ANCHOR)[1][1:] == (0, "deflated iteration diverged")
+    assert run(_SMALL_NAN)[1][1:] == (0, "deflated iteration diverged")
+    for case, merged in ((_SMALL_MERGED, True), (_SMALL_SPLIT, False)):
+        n, (_, it, _) = run(case)
+        assert it >= 1 and (solver.MAX_BACKTRACKS * n <= solver._SEARCH_MERGE) == merged
+
+
 def test_search_examples_meet_a_zero_pivot_and_a_row_swap():
     prob, v0, _ = _search_case(**_ZERO_PIVOT)
     ab = _jacobian_bands(v0, prob)
@@ -442,12 +514,8 @@ def test_kernels_match_the_rebuilt_formulas(p, K, m, drive, seed, values):
                 assert _jacobian_bands(v, prob).tobytes() == ab_ref.tobytes()
 
 
-def test_line_search_makes_at_most_two_residual_calls(monkeypatch):
-    # From this start the first Newton step is accepted at alpha = 1/64: a
-    # one-at-a-time search evaluates 7 trial points, the batched search
-    # evaluates the full step, then the other 39 step lengths in one call.
-    prob = make_pure_power_problem(K=1)
-    v0 = np.array([-0.8, -0.9, 1.5])
+def _search_calls(monkeypatch, v0, prob):
+    """One Newton iteration from v0: (v, shapes of its residual calls)."""
     calls = []
     plain = solver.residual_many
 
@@ -456,14 +524,41 @@ def test_line_search_makes_at_most_two_residual_calls(monkeypatch):
         return plain(V, prob)
 
     monkeypatch.setattr(solver, "residual_many", counted)
-    cfg = SolverConfig(max_iter=1)
-    v, it, note = _newton_values(v0, prob, cfg)
-    assert (it, note) == (1, "max_iter exceeded")
-    assert calls[0] == (3,)  # the start
-    assert calls[1:] == [(1, 3), (solver.MAX_BACKTRACKS - 1, 3)]
+    v, it, note = _newton_values(v0, prob, SolverConfig(max_iter=1))
     monkeypatch.undo()
-    v_ref, _, _ = sequential_newton_values(v0, prob, cfg)
+    assert (it, note) == (1, "max_iter exceeded")
+    return v, calls
+
+
+def test_line_search_makes_at_most_two_residual_calls(monkeypatch):
+    # From this start the first Newton step is accepted at alpha = 1/64: a
+    # one-at-a-time search evaluates 7 trial points, the batched search at
+    # n = 3 evaluates all 40 step lengths, the full step included, in one call.
+    prob = make_pure_power_problem(K=1)
+    v0 = np.array([-0.8, -0.9, 1.5])
+    v, calls = _search_calls(monkeypatch, v0, prob)
+    assert calls == [(3,), (40, 3)]  # the start, then the search
+    v_ref, _, _ = sequential_newton_values(v0, prob, SolverConfig(max_iter=1))
     assert np.array_equal(v, v_ref)
+
+
+@pytest.mark.parametrize("K, searches", [
+    (12, [(40, 25)]),               # 40 n = 1000: the largest window that merges
+    (13, [(1, 27), (39, 27)]),      # 40 n = 1080: the full step alone first
+])
+def test_search_merges_the_full_step_up_to_the_limit(monkeypatch, K, searches):
+    # the first step from this start is accepted at alpha = 1/2, after its
+    # full step fails
+    prob = make_pure_power_problem(K=K)
+    k = prob.window.indices.astype(float)
+    v0 = 2.0 * np.exp(-(k / 2.0) ** 2) * (-1.0) ** k
+    v, calls = _search_calls(monkeypatch, v0, prob)
+    assert calls == [(2 * K + 1,)] + searches
+    v_ref, _, _ = sequential_newton_values(v0, prob, SolverConfig(max_iter=1))
+    assert np.array_equal(v, v_ref)
+    ab = _jacobian_bands(v0, prob)
+    delta = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], -residual_many(v0, prob))[3]
+    assert np.array_equal(v, v0 + 0.5 * delta)
 
 
 @pytest.mark.parametrize("problem, v0, chunks", [
