@@ -107,8 +107,14 @@ _SEARCH_BLOCK = 4096
 # timings, PurePower and LogPower, 2-core host).  The merged call saves time
 # once a share (C40 - C1) / C39 of the full steps fails: 0.25-0.45 at
 # n <= 11, 0.43-0.47 at n = 25, 0.62-0.65 at n = 51, 0.71-0.78 at n = 101.
-# In a benchmark enumerate round (n = 3 and 5) 82% fail; a ladder round
-# (n >= 101) runs mostly near converged solves, whose full steps pass.
+# Measured shares that fail: 82% in a benchmark enumerate round (n = 3 and
+# 5); 79% in `dplhom sequence` on configs/pure_power.cfg (n = 21, 618 of
+# 782 searches) and 72-74% on it at n = 23-27; 22% (25 of 114) in
+# `sequence` on configs/reference.cfg at n = 23-27 and 101.  That run
+# took 0.476 s at a limit of 200 and 0.473 s here at n = 21, 0.436 and
+# 0.408 s at n = 25 (lower in 13 of 15), and on reference.cfg at n = 25
+# 0.349 and 0.344 s (lower in 7 of 15): process-time medians of 15
+# alternating fresh-interpreter runs, 2-core host.
 _SEARCH_MERGE = 1024
 # _canonical_values counts an entry as significant above _SIGN_TOL_REL times
 # the largest |entry|; _strict_ladder's rungs are _LADDER_GAP max(1, |J|) apart.
@@ -186,38 +192,24 @@ def _finish(v: np.ndarray, prob: ProblemSpec, cfg: SolverConfig, iterations: int
     )
 
 
-def _band_constants(prob: ProblemSpec):
-    """The parts of the Jacobian bands free of v: (off-diagonal, main diagonal) or None.
-
-    At p = 2, phi_p' is 1.0 everywhere and x * 1.0 = x, so the off-diagonals
-    are -a(k) and the main diagonal is (a(k) + a(k+1)) + b(k) - lambda f_t(k, v),
-    the bits of the general formula.  For p != 2 nothing is constant: None.
-    """
-    if prob.p != 2.0:
-        return None
-    a = prob.coeffs.a
-    return -a[1:-1], (a[:-1] + a[1:]) + prob.coeffs.b
-
-
-def _jacobian_bands(v: np.ndarray, prob: ProblemSpec, const=None) -> np.ndarray:
+def _jacobian_bands(v: np.ndarray, prob: ProblemSpec) -> np.ndarray:
     """Banded (ab) form of the tridiagonal residual Jacobian.
 
-    ``const`` is ``_band_constants(prob)``, which the Newton loop builds once
-    per solve; without it they are built here.
+    At p = 2, phi_p' is 1.0 everywhere and x * 1.0 = x, so the off-diagonals
+    are -a(k) and the main diagonal is (a(k) + a(k+1)) + b(k) - lambda f_t(k, v):
+    the general formula's bits without its phi_p' evaluations.
     """
     n = v.size
+    a, b = prob.coeffs.a, prob.coeffs.b
     drive = prob.lam * prob.nonlinearity.df_dt(prob.window.indices, v)
-    if const is None:
-        const = _band_constants(prob)
-    if const is None:
-        a, b = prob.coeffs.a, prob.coeffs.b
+    if prob.p == 2.0:
+        off = -a[1:-1]
+        main = (a[:-1] + a[1:]) + b - drive
+    else:
         w = phi_p_prime(prob.p, _diff_many(v), cap=JACOBIAN_CAP)  # length n+1
         wp = phi_p_prime(prob.p, v, cap=JACOBIAN_CAP)
         off = -(a[1:-1] * w[1:-1])
         main = a[:-1] * w[:-1] + a[1:] * w[1:] + b * wp - drive
-    else:
-        off, base = const
-        main = base - drive
     ab = np.zeros((3, n))
     ab[0, 1:] = off   # superdiagonal: dr[i]/dv[i+1]
     ab[1, :] = main
@@ -252,7 +244,6 @@ def _newton_values(v0: np.ndarray, prob: ProblemSpec, cfg: SolverConfig,
     M, dlogM = _deflation_terms(v, anchors, prob.p) if deflate else (1.0, None)
     if not math.isfinite(M):  # the start sits on an anchor
         return v, 0, stop_note
-    const = _band_constants(prob)
     chunks = _search_chunks(v.size)
     note = ""
     it = 0
@@ -262,7 +253,7 @@ def _newton_values(v0: np.ndarray, prob: ProblemSpec, cfg: SolverConfig,
             break
         it += 1
         merit = float(r @ r) * (M * M)
-        ab = _jacobian_bands(v, prob, const)
+        ab = _jacobian_bands(v, prob)
         # LAPACK's tridiagonal solve, as solve_banded((1, 1), ab, -r) calls it
         _, _, _, delta, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], -r)
         if info == 0 and deflate:  # info > 0: a zero pivot, the Jacobian is singular
