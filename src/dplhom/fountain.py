@@ -224,11 +224,13 @@ def embedding_maximizer(split: BasisSplit, q: float):
     return embedding_constant(split, q), u / weighted_norm_many(u, split.coeffs, split.p)
 
 
-def embedding_profile(coeffs: CoefficientField, p: float, q: float,
+def embedding_profile(coeffs: CoefficientField, p: float, q: float | Sequence[float],
                       n_list: Sequence[int]) -> np.ndarray:
     """Upper bounds on the embedding constants beta_{q,n}, nonincreasing in n
     (at p = 2 up to rounding).
 
+    ``q`` is one exponent, or a sequence of them, which gives one row per
+    exponent with each Z_n block's eigenvalue and inverse computed once.
     Raises ValueError for q < p.  For p = 2 the values are closed forms on
     A_Z, the Z_n block of the tridiagonal A with ||u||^2 = u^T A u:
 
@@ -254,8 +256,10 @@ def embedding_profile(coeffs: CoefficientField, p: float, q: float,
     the reference coefficients at p = 1.5 and 3 the bracket's ends agree to
     about 1e-12.  Bounds are certified in floating point, without directed rounding.
     """
-    if q < p:
-        raise ValueError(f"q must be at least p = {p}, got {q}")
+    qs = np.ravel(q).tolist()
+    for qi in qs:
+        if qi < p:
+            raise ValueError(f"q must be at least p = {p}, got {qi}")
     n_sorted = sorted(set(int(n) for n in n_list))
     window = coeffs.window
     out = {}
@@ -267,13 +271,15 @@ def embedding_profile(coeffs: CoefficientField, p: float, q: float,
             A_Z = A[np.ix_(pos, pos)]
             beta_2 = np.linalg.eigvalsh(A_Z)[0] ** -0.5
             beta_inf = np.max(np.diag(np.linalg.inv(A_Z))) ** 0.5
-            out[n] = (beta_inf ** (q - 2.0) * beta_2 ** 2) ** (1.0 / q)
+            out[n] = [(beta_inf ** (qi - 2.0) * beta_2 ** 2) ** (1.0 / qi) for qi in qs]
     else:
         memo, beta = {}, math.inf
         for n in n_sorted:
             lam_lo = min(br[1] for br in _z_brackets(BasisSplit(coeffs, p, n), memo))
-            out[n] = beta = min(beta, lam_lo ** (-1.0 / p) if lam_lo > 0.0 else math.inf)
-    return np.array([out[int(n)] for n in n_list])
+            beta = min(beta, lam_lo ** (-1.0 / p) if lam_lo > 0.0 else math.inf)
+            out[n] = [beta] * len(qs)
+    prof = np.array([[out[int(n)][j] for n in n_list] for j in range(len(qs))])
+    return prof if np.ndim(q) else prof[0]
 
 
 def z_sphere_radius(d: float, q: float, lam: float, p: float,
@@ -561,8 +567,7 @@ def fountain_table(prob: ProblemSpec, q: float, d: float, n_list: Sequence[int],
     """
     n_list = [int(n) for n in n_list]
     coeffs, p, lam = prob.coeffs, prob.p, prob.lam
-    betas_p = embedding_profile(coeffs, p, p, n_list)
-    betas_q = embedding_profile(coeffs, p, q, n_list) if p == 2.0 else betas_p  # equal off p = 2
+    betas_p, betas_q = embedding_profile(coeffs, p, (p, q), n_list)  # each block once
     rows = []
     for i, n in enumerate(n_list):
         split = BasisSplit(coeffs, p, n)

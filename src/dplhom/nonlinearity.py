@@ -7,8 +7,11 @@ Each family exposes the same vectorized surface:
     curly_F(k, t)  f(k, t) * t - p * F(k, t)
     df_dt(k, t)    the t-derivative (used by Newton Jacobians)
 
-``k`` and ``t`` broadcast against each other, so a (n,) index row against
-a (m, n) value matrix works.
+and, where the family has one, ``balance_amplitude``: the closed-form
+height c of a one-site state, stiffness * phi_p(c) = lam f(k, c), which
+``solver.bump_amplitude`` otherwise finds by bisection.  ``k`` and ``t``
+broadcast against each other, so a (n,) index row against a (m, n) value
+matrix works.
 
 The log-weighted power family
 
@@ -108,6 +111,16 @@ class Nonlinearity:
         checks rely on it).  A weight may underflow to 0 (``LogPower`` at
         large mu): rounding stays monotone, and 0 * inf = NaN is non-finite
         at exactly the t where w * inf = inf is.
+        """
+        return None
+
+    def balance_amplitude(self, k, stiffness, lam):
+        """c > 0 with stiffness * phi_p(c) = lam f(k, c) at each site k, in closed form.
+
+        This is the height of a one-site state with zero neighbours (the
+        anti-continuum limit).  A family without a closed form returns None,
+        and ``solver.bump_amplitude`` then scans and bisects the balance gap.
+        Where no c balances, c comes out 0, non-finite or NaN.
         """
         return None
 
@@ -218,14 +231,22 @@ class LogPower(Nonlinearity):
         t_arr = np.asarray(t, dtype=float)
         return _scalar_or_array(self.weight(k) * self._primitive(np.abs(t_arr)), k, t)
 
+    def balance_amplitude(self, k, stiffness, lam):
+        """phi_p(c) cancels: ln(1 + c^nu) = stiffness / (lam w(k))."""
+        with np.errstate(divide="ignore", over="ignore"):  # w = 0 or a huge ratio: c = inf
+            return np.expm1(stiffness / (lam * self.weight(k))) ** (1.0 / self.nu)
+
     def df_dt(self, k, t):
         t_arr = np.asarray(t, dtype=float)
         s = np.abs(t_arr)
         s_nu = s ** self.nu
         log_term = np.log1p(s_nu)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lead = (self.p - 1.0) * s ** (self.p - 2.0) * log_term
-        lead = np.where(log_term == 0.0, 0.0, lead)  # t=0 limit is 0 for p>1
+        if self.p == 2.0:  # (p - 1) s^0 log_term, with its bits at every t, 0, inf and NaN too
+            lead = log_term
+        else:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                lead = (self.p - 1.0) * s ** (self.p - 2.0) * log_term
+            lead = np.where(log_term == 0.0, 0.0, lead)  # t=0 limit is 0 for p>1
         ratio = self.nu * s ** (self.p + self.nu - 2.0) / (1.0 + s_nu)
         return _scalar_or_array(self.weight(k) * (lead + ratio), k, t)
 
@@ -257,6 +278,11 @@ class PurePower(Nonlinearity):
     def weight(self, k):
         """1 at every k: F does not depend on k."""
         return 1.0 if np.ndim(k) == 0 else np.ones(np.shape(k))
+
+    def balance_amplitude(self, k, stiffness, lam):
+        """c^(p-1) cancels: c^(q-p) = stiffness / (lam c0)."""
+        with np.errstate(over="ignore"):  # past the largest float: c = inf
+            return (stiffness / (lam * self.c)) ** (1.0 / (self.q - self.p))
 
     def f(self, k, t):
         return _k_independent(self.c * phi_p(self.q, np.asarray(t, dtype=float)), k, t)

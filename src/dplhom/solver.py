@@ -28,7 +28,11 @@ numpy only.
 find_critical_points and solution_sequence run one enumeration engine,
 multistart Newton then deflation rounds from the one-site bump starts, and
 differ only in the data they pass it.  Solutions are taken up to sign only
-for an odd drive (``Nonlinearity.is_odd``).
+for an odd drive (``Nonlinearity.is_odd``).  A bump start's height is the
+drive's closed-form one-site balance where it has one, else a scan and
+bisection of the balance gap (``bump_amplitude``).  solution_sequence
+keeps one rung per run of energies tied to rounding, the greatest in
+lexicographic order of values, so a mirror twin never replaces a rung.
 
 Convergence is always declared on the infinity norm of the residual, never
 on step size (steps can stagnate near clamped Jacobian entries for p < 2).
@@ -39,6 +43,7 @@ than trusting the loop's last internal values.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field, replace
@@ -120,6 +125,8 @@ _SEARCH_MERGE = 1024
 # the largest |entry|; _strict_ladder's rungs are _LADDER_GAP max(1, |J|) apart.
 _SIGN_TOL_REL = 1e-12
 _LADDER_GAP = 1e-8
+# bump_amplitude's range, and the grid it scans for a drive without a closed form
+_AMPLITUDE_GRID = np.logspace(-3.0, 16.0, 640)
 
 
 def _search_chunks(n: int) -> list:
@@ -422,6 +429,8 @@ class SolutionSet:
     warning: Optional[str] = None
     odd: bool = False
     _items: list = field(default_factory=list)
+    # members' values stacked per shape for contains_close; emptied by add
+    _stacks: dict = field(default_factory=dict, repr=False, compare=False)
 
     def add(self, result: SolveResult) -> bool:
         if self.contains_close(result.u.values):
@@ -430,12 +439,17 @@ class SolutionSet:
         # after any equal (energy, values) key, as a stable sort would put it
         bisect.insort(self._items, replace(result, u=LatticeSeq(result.u.window, v)),
                       key=lambda r: (r.energy, tuple(r.u.values)))
+        self._stacks.clear()
         return True
 
     def contains_close(self, values: np.ndarray) -> bool:
+        """Whether a member of ``values``' shape is within DEDUP_TOL of it (up to sign if odd)."""
         v = _canonical_values(values, self.odd)
-        return any(o.u.values.shape == v.shape and np.max(np.abs(o.u.values - v)) <= DEDUP_TOL
-                   for o in self._items)
+        stack = self._stacks.get(v.shape)
+        if stack is None:
+            rows = [o.u.values for o in self._items if o.u.values.shape == v.shape]
+            stack = self._stacks[v.shape] = np.array(rows).reshape(len(rows), v.size)
+        return bool((np.abs(stack - v).max(axis=1) <= DEDUP_TOL).any())
 
     @property
     def results(self) -> tuple:
@@ -455,35 +469,41 @@ class SolutionSet:
 def bump_amplitude(prob: ProblemSpec, site: int | np.ndarray) -> Optional[float] | np.ndarray:
     """Amplitude where the one-site stiffness balances the drive term.
 
-    Solves a(j) + a(j+1) + b(j) times phi_p(c) = lambda f(j, c) for c > 0;
-    spikes of this height are excellent Newton starts for one-bump states.
-    One site gives a float, or None where no c balances; an array of sites
-    gives NaN there.  Each site bisects in scalar arithmetic: for a
-    non-integer power numpy's array kernels can round an ulp away from it.
-    The 80 bisection steps stop early once one leaves (lo, hi) as it was,
-    which leaves the amplitude as the 80 steps would.
+    Solves a(j) + a(j+1) + b(j) times phi_p(c) = lambda f(j, c) for c > 0,
+    the anti-continuum limit of one site with zero neighbours; spikes of
+    this height are excellent Newton starts for one-bump states.  One site
+    gives a float, or None where no c in [1e-3, 1e16] balances; an array of
+    sites gives NaN there.  The drive's ``balance_amplitude`` gives c in
+    closed form where it has one.  Otherwise each site scans a 640-point
+    grid of that range for the first rise of the gap through 0 and bisects
+    it in scalar arithmetic (for a non-integer power numpy's array kernels
+    can round an ulp away from it), for 80 steps or until one leaves (lo,
+    hi) as it was, which leaves the amplitude as the 80 steps would.
     """
     def gap(k, stiff, c):
         return prob.lam * prob.nonlinearity.f(k, c) - stiff * phi_p(prob.p, c)
 
-    grid = np.logspace(-3.0, 16.0, 640)
-    sites = np.ravel(site).tolist()
-    amp = np.full(len(sites), np.nan)
-    for n, k in enumerate(sites):
-        i = prob.window.position(k)
-        stiff = float(prob.coeffs.a[i] + prob.coeffs.a[i + 1] + prob.coeffs.b[i])
-        vals = gap(k, stiff, grid)
-        change = np.nonzero((vals[:-1] <= 0.0) & (vals[1:] > 0.0))[0]
-        if change.size == 0:
-            continue
-        lo, hi = grid[change[0]], grid[change[0] + 1]
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            step = (lo, mid) if gap(k, stiff, mid) > 0.0 else (mid, hi)
-            if step == (lo, hi):  # a fixed point: every later step repeats this one
-                break
-            lo, hi = step
-        amp[n] = 0.5 * (lo + hi)
+    sites = np.ravel(site)
+    pos = np.array([prob.window.position(k) for k in sites.tolist()], dtype=int)
+    a, b = prob.coeffs.a, prob.coeffs.b
+    stiff = a[pos] + a[pos + 1] + b[pos]
+    amp = prob.nonlinearity.balance_amplitude(sites, stiff, prob.lam)
+    if amp is None:
+        amp = np.full(sites.size, np.nan)
+        for n, (k, s) in enumerate(zip(sites.tolist(), stiff.tolist())):
+            vals = gap(k, s, _AMPLITUDE_GRID)
+            change = np.nonzero((vals[:-1] <= 0.0) & (vals[1:] > 0.0))[0]
+            if change.size == 0:
+                continue
+            lo, hi = _AMPLITUDE_GRID[change[0]], _AMPLITUDE_GRID[change[0] + 1]
+            for _ in range(80):
+                mid = 0.5 * (lo + hi)
+                step = (lo, mid) if gap(k, s, mid) > 0.0 else (mid, hi)
+                if step == (lo, hi):  # a fixed point: every later step repeats this one
+                    break
+                lo, hi = step
+            amp[n] = 0.5 * (lo + hi)
+    amp = np.where((amp >= _AMPLITUDE_GRID[0]) & (amp <= _AMPLITUDE_GRID[-1]), amp, np.nan)
     if np.ndim(site) == 0:
         return None if math.isnan(amp[0]) else float(amp[0])
     return amp
@@ -634,17 +654,29 @@ def solution_sequence(prob: ProblemSpec, cfg: SolverConfig, n_target: int) -> So
     return out
 
 
-def _strict_ladder(pool: SolutionSet) -> list:
-    """Greedy strictly-increasing-energy subsequence of the pool.
+def _lex_order(r: SolveResult, s: SolveResult) -> int:
+    """Sign of u_r - u_s at the first site where they differ by more than DEDUP_TOL, else 0."""
+    d = r.u.values - s.u.values
+    i = np.flatnonzero(np.abs(d) > DEDUP_TOL)
+    return 0 if i.size == 0 else (1 if d[i[0]] > 0.0 else -1)
 
-    A rung must clear the previous one by ``_LADDER_GAP`` times max(1, |J|): an
-    absolute gap below |J| = 1, a relative one above, so that energies equal
-    up to rounding (mirror-image states at large |J|) count as equal.
+
+def _strict_ladder(pool: SolutionSet) -> list:
+    """Strictly-increasing-energy rungs of the pool, one per run of tied energies.
+
+    A member ties with the one before it unless it clears that energy by
+    ``_LADDER_GAP`` times max(1, |J|): an absolute gap below |J| = 1, a
+    relative one above, so that energies equal up to rounding (mirror-image
+    states u(k) and u(-k) on an even problem) count as equal.  Each run of
+    ties gives one rung, its member that is greatest in the order of
+    ``_lex_order``, and the next run must clear the run's largest energy.
+    Rounding that reorders or moves a run's energies leaves the rung as it is.
     """
-    ladder = []
+    runs = []
     last = -np.inf
-    for r in pool:
+    for r in pool:  # in increasing energy
         if r.energy > last + _LADDER_GAP * max(1.0, abs(r.energy)):
-            ladder.append(r)
-            last = r.energy
-    return ladder
+            runs.append([])
+        runs[-1].append(r)
+        last = r.energy
+    return [max(run, key=functools.cmp_to_key(_lex_order)) for run in runs]

@@ -120,7 +120,9 @@ def sequential_newton_values(v0, prob, cfg, anchors=None):
     own, with a single-point deflation factor, until one passes.  Same
     Jacobian bands; the step keeps scipy's ``solve_banded``, which calls the
     LAPACK ``dgtsv`` that the library calls directly and raises
-    ``LinAlgError`` where dgtsv reports a zero pivot.  So a batched search
+    ``LinAlgError`` where dgtsv reports a zero pivot.  Its finiteness check
+    is off, so a NaN or inf residual or band reaches the non-finite step
+    test and stops the loop, as it stops the library's.  So a batched search
     that visits the same points must return the same bits.
     """
     def deflation(x):
@@ -152,7 +154,7 @@ def sequential_newton_values(v0, prob, cfg, anchors=None):
         ab = _jacobian_bands(v, prob)
         delta = None
         try:
-            cand = solve_banded((1, 1), ab, -r)
+            cand = solve_banded((1, 1), ab, -r, check_finite=False)
             if anchors is not None:
                 cand = cand / (1.0 - float(dlogM @ cand))
             if np.all(np.isfinite(cand)) and float(np.max(np.abs(cand))) < 1e14:

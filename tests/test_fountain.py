@@ -182,6 +182,18 @@ def _lower_end(split, memo, q):
     return best
 
 
+@pytest.mark.parametrize("p", [1.5, 2.0])
+def test_embedding_profile_rows_match_one_exponent_calls(p, coeffs6):
+    # a sequence of exponents gives one row each, from each block computed once
+    n_list = [7, 1, 4, 13, 4]
+    rows = embedding_profile(coeffs6, p, (p, p + 2.0, 4.5), n_list)
+    assert rows.shape == (3, len(n_list))
+    for row, q in zip(rows, (p, p + 2.0, 4.5)):
+        assert row.tobytes() == embedding_profile(coeffs6, p, q, n_list).tobytes()
+    with pytest.raises(ValueError):
+        embedding_profile(coeffs6, p, (4.0, p - 0.5), n_list)
+
+
 @pytest.mark.parametrize("p", [1.5, 3.0])
 def test_beta_bracket_is_sound_and_tight_on_reference(p):
     coeffs = CoefficientField.polynomial(Window(50), exponent=2.0)

@@ -290,6 +290,23 @@ def test_df_dt_matches_finite_differences(rng):
         assert np.allclose(got, fd, rtol=1e-5, atol=1e-8)
 
 
+@pytest.mark.parametrize("nu", [1.0, 1.5, 2.0, 2.5, 3.7])
+def test_log_power_df_dt_at_p2_keeps_the_general_formula_bits(nu):
+    # at p = 2 the lead term (p - 1) |t|^(p-2) ln(1 + |t|^nu) is taken as the
+    # log term itself: the same bits at every t, 0, inf and NaN included
+    nl = LogPower(2.0, 2.0, nu)
+    k = np.arange(-6, 6)
+    t = np.array([0.0, -0.0, 5e-324, 1e-300, 1e-8, 0.3, -1.7, 2.5e3, 1e160, -1e300,
+                  np.inf, -np.inf, np.nan])[:, None]
+    s = np.abs(t)
+    with np.errstate(all="ignore"):
+        log_term = np.log1p(s ** nu)
+        lead = np.where(log_term == 0.0, 0.0, (2.0 - 1.0) * s ** (2.0 - 2.0) * log_term)
+        want = nl.weight(k) * (lead + nu * s ** (2.0 + nu - 2.0) / (1.0 + s ** nu))
+        assert _bits(nl.df_dt(k, t)) == _bits(want)
+        assert _bits([nl.df_dt(3, float(x)) for x in t[:, 0]]) == _bits(want[:, 9])
+
+
 def test_custom_df_dt_without_a_derivative_takes_central_differences():
     # f = t^3 + k t has df/dt = 3 t^2 + k; the central difference with
     # h = 1e-6 max(1, |t|) is exact on the quadratic part
