@@ -24,6 +24,8 @@ rho_n > max((lam p C_n)^(1/p) T, r_n) at which the energy is nonpositive.
 C_n is exact: one sign vertex attains it (see ``sup_norm_constant``).  The
 betas are certified upper bounds (see ``embedding_profile``), so the energy
 floor on the Z_n sphere follows from them; the sphere sampling re-checks it.
+Under (H5), F(k, t) / |t|^p is nondecreasing in |t|, so the margin at T alone
+decides each test of a threshold T (see ``superlinearity_threshold``).
 
 Both sphere checks draw their normals at once, then build and evaluate
 the samples _SPHERE_BLOCK rows at a time, with F on the block's sites
@@ -68,14 +70,8 @@ _SLACK = 1e-9
 # Threshold amplitudes are useful only while rho^p and F(k, rho-scale)
 # stay inside float64; past ~1e140 the energy evaluation itself overflows.
 _T_SEARCH_MAX = 1e140
-# Two evaluations of F at the same point can differ in their last bits
-# (vectorized and scalar kernels round differently); the threshold screen
-# drops a grid point only when its margin is negative by far more than that.
-_SCREEN_RTOL = 1e-6
-# The threshold scan starts at _T_SEARCH_MIN, and tests each T on
-# _T_SAMPLES points of [T, 10T].
+# The threshold scan starts at _T_SEARCH_MIN, with 8 grid points per decade.
 _T_SEARCH_MIN = 1e-3
-_T_SAMPLES = 64
 # Sphere samples are built and checked this many rows at a time, so that a
 # block of full-width rows (200 KB at 101 sites) and its temporaries stay in
 # a core's cache through a pass; 128 and 512 rows were slower.
@@ -324,34 +320,30 @@ def sup_norm_constant(split: BasisSplit, lam: float) -> float:
     return float(weighted_norm_many(v, split.coeffs, split.p) ** split.p) / (split.p * lam)
 
 
-def superlinearity_threshold(prob: ProblemSpec, c_sup: float, h_n: int,
-                             t_hi: float = _T_SEARCH_MAX) -> float:
-    """Smallest sampled T with F(k, t) >= 2 C_n |t|^p on |k| <= h_n, t in [T, 10T].
+def superlinearity_threshold(prob: ProblemSpec, c_sup: float, h_n: int) -> float:
+    """Smallest T with F(k, T) >= 2 C_n T^p on |k| <= h_n, to bisection precision.
 
-    For drives with nonnegative curly_F the ratio F / t^p is nondecreasing,
-    so a pass on [T, 10T] extends to all t >= T and the first passing T can
-    be bisected; for other drives the scan is a heuristic.
+    A T passes when the margin F(k, T) - 2 C_n T^p is finite and >= 0 at T
+    alone.  The paper's (H5) at s = 0 gives curly_F = f t - p F >= 0, so
+    F(k, t) / |t|^p is nondecreasing in |t|, and a pass at T holds for every
+    t >= T: T is exact for every drive that meets (H5).  For a drive that
+    fails (H5), T is only where the margin first holds; the Y_n sphere check
+    still samples J <= 0 at rho_n.
 
-    The scan over the geometric T grid is screened.  Each grid point T is
-    also the first of the ``_T_SAMPLES`` points that test T (geomspace returns
-    its start exactly), so the margin F(k, T) - 2 C_n T^p is evaluated at the
-    grid points themselves, in grid order and in blocks of 1, 2, 4, ...
-    points.  A point is dropped when its margin is not finite, or negative
-    by more than rounding can explain (``_SCREEN_RTOL`` of |F| + 2 C_n T^p).
-    Only the points that survive, and every bisection step, run the full
-    [T, 10T] test.  The screen drops no point the test would pass, so the
-    result, or the raise, is that of testing every grid point in turn; and a
-    drive that passes at grid index i costs at most 2i + 1 screened points
-    on top of the tests.  A block may reach past the T the scan stops at.
-    When no T passes, the error says why: which of F and 2 C_n |t|^p first
-    left float64 range, and at which grid T, or else the margin still
-    reached at ``t_hi``.
+    The scan visits a geometric grid of T from _T_SEARCH_MIN to _T_SEARCH_MAX
+    in blocks of 1, 2, 4, ... points and stops at the first block with a
+    passing point, so a drive that passes early is never evaluated near the
+    top of the range.  60 geometric bisection steps, one point each, refine
+    the first passing grid point against the one before it.  When no T
+    passes, the error says why: which of F and 2 C_n |t|^p first left
+    float64 range, and at which grid T, or else the margin still reached at
+    _T_SEARCH_MAX.
 
     Where the drive has a ``weight`` (F = w(k) G(t), G >= 0, 0 <= w <= 1),
     F is evaluated at the one k of least w on |k| <= h_n.  Rounding is
     monotone, so there F is least at every t, and finite wherever any F is:
-    every pass, screen and overflow decision, and the margin in the error,
-    is the one the full k block gives.  Other drives use the full block.
+    every pass and overflow decision, and the margin in the error, is the
+    one the full k block gives.  Other drives use the full block.
     """
     k = np.arange(-h_n, h_n + 1)
     w = prob.nonlinearity.weight(k)
@@ -361,55 +353,42 @@ def superlinearity_threshold(prob: ProblemSpec, c_sup: float, h_n: int,
     k.flags.writeable = False  # so a LogPower drive keeps w(k) across the probes
 
     def margins(ts: np.ndarray):
-        """F(k, t), 2 C_n |t|^p and their difference, one column per t."""
+        """F(k, t), 2 C_n |t|^p, and per t whether the margin is finite and >= 0."""
         with np.errstate(over="ignore", invalid="ignore"):
             F = prob.nonlinearity.F(k, ts[None, :])
             lead = 2.0 * c_sup * ts ** prob.p
-            return F, lead, F - lead
+            margin = F - lead
+        return F, lead, margin, np.all(np.isfinite(margin) & (margin >= 0.0), axis=0)
 
-    def passes(T: float) -> bool:
-        margin = margins(np.geomspace(T, 10.0 * T, _T_SAMPLES))[2]
-        return bool(np.all(np.isfinite(margin)) and np.min(margin) >= 0.0)
-
-    grid = np.geomspace(_T_SEARCH_MIN, t_hi, max(2, int(8 * math.log10(t_hi / _T_SEARCH_MIN))))
-    hit = None
+    grid = np.geomspace(_T_SEARCH_MIN, _T_SEARCH_MAX,
+                        int(8 * math.log10(_T_SEARCH_MAX / _T_SEARCH_MIN)))
     overflow = None  # the first grid point with a non-finite margin
-    start, size = 0, 1
+    start, size, hit = 0, 1, None
     while hit is None and start < grid.size:
-        stop = start + size
-        size *= 2
-        F, lead, margin = margins(grid[start:stop])
-        block = grid[start:stop]
+        block = grid[start:start + size]
+        F, lead, margin, ok = margins(block)
         finite = np.all(np.isfinite(margin), axis=0)
         if overflow is None and not np.all(finite):
             j = int(np.argmin(finite))
             what = [name for name, bad in (("F", not np.all(np.isfinite(F[:, j]))),
                                            ("2C|t|^p", not np.isfinite(lead[j]))) if bad]
             overflow = (" and ".join(what) or "F - 2C|t|^p", float(block[j]))
-        with np.errstate(over="ignore"):  # |F| + lead may pass float64 max
-            keep = finite & np.all(margin >= -_SCREEN_RTOL * (np.abs(F) + lead), axis=0)
-        for j in np.flatnonzero(keep):
-            if passes(float(block[j])):
-                hit = start + int(j)
-                break
-        start = stop
+        if ok.any():
+            hit = start + int(np.argmax(ok))
+        start, size = start + size, 2 * size
     if hit is None:
-        if overflow is not None:
-            why = f"{overflow[0]} became non-finite at t = {overflow[1]:.2e}"
-        elif np.min(margin[:, -1]) < 0.0:
-            why = (f"the margin F - 2C|t|^p is still {np.min(margin[:, -1]):.3e} "
-                   f"at t = {t_hi:.2e}")
-        else:
-            why = "every grid point with a nonnegative margin fails on [T, 10T]"
+        why = (f"{overflow[0]} became non-finite at t = {overflow[1]:.2e}" if overflow else
+               f"the margin F - 2C|t|^p is still {np.min(margin[:, -1]):.3e} "
+               f"at t = {_T_SEARCH_MAX:.2e}")
         raise FountainGeometryError(
             f"no threshold T with F >= 2 C |t|^p on |k| <= {h_n} below "
-            f"t = {t_hi:.2e}: {why}")
+            f"t = {_T_SEARCH_MAX:.2e}: {why}")
     if hit == 0:
         return float(grid[0])
     lo, hi = float(grid[hit - 1]), float(grid[hit])
     for _ in range(60):
         mid = math.sqrt(lo * hi)
-        if passes(mid):
+        if margins(np.array([mid]))[3][0]:
             hi = mid
         else:
             lo = mid

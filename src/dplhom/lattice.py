@@ -259,12 +259,10 @@ def phi_p_prime(p: float, t, cap: Optional[float] = 1e8):
     if not p > 1.0:
         raise ValueError(f"phi_p_prime requires p > 1, got p={p}")
     t_arr = np.asarray(t, dtype=float)
-    if p == 2.0:  # 1.0 |t|^0 is 1 for every t, inf and NaN included
-        out = np.ones(t_arr.shape)
-    else:  # only p < 2 raises 0 to a negative power
-        with np.errstate(divide="ignore", invalid="ignore") if p < 2.0 else nullcontext():
-            out = (p - 1.0) * np.abs(t_arr) ** (p - 2.0)
-        out = np.where(np.isnan(out), np.inf, out)
+    # only p < 2 raises 0 to a negative power; at p = 2, |t|^0 is 1 at every t
+    with np.errstate(divide="ignore", invalid="ignore") if p < 2.0 else nullcontext():
+        out = (p - 1.0) * np.abs(t_arr) ** (p - 2.0)
+    out = np.where(np.isnan(out), np.inf, out)
     if cap is not None:
         out = np.minimum(out, cap)
     if np.ndim(t) == 0:

@@ -42,6 +42,7 @@ weight positive, even, and summable for mu > 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -239,16 +240,28 @@ class LogPower(Nonlinearity):
     def df_dt(self, k, t):
         t_arr = np.asarray(t, dtype=float)
         s = np.abs(t_arr)
-        s_nu = s ** self.nu
-        log_term = np.log1p(s_nu)
-        if self.p == 2.0:  # (p - 1) s^0 log_term, with its bits at every t, 0, inf and NaN too
-            lead = log_term
-        else:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                lead = (self.p - 1.0) * s ** (self.p - 2.0) * log_term
-            lead = np.where(log_term == 0.0, 0.0, lead)  # t=0 limit is 0 for p>1
-        ratio = self.nu * s ** (self.p + self.nu - 2.0) / (1.0 + s_nu)
-        return _scalar_or_array(self.weight(k) * (lead + ratio), k, t)
+        p, nu = self.p, self.nu
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # taken again below
+            s_nu = s ** nu
+            log_term = np.log1p(s_nu)
+            if p == 2.0:  # (p - 1) s^0 log_term, with its bits at every t, 0, inf and NaN too
+                lead = log_term
+            else:
+                lead = (p - 1.0) * s ** (p - 2.0) * log_term
+                lead = np.where(log_term == 0.0, 0.0, lead)  # t=0 limit is 0 for p>1
+            out = lead + nu * s ** (p + nu - 2.0) / (1.0 + s_nu)
+            if not math.isfinite(out.sum()):  # a sum past float64 max only costs this pass
+                # the same terms in forms that stay in range: for s > 1, ln(1 + s^nu)
+                # = nu ln s + ln(1 + s^-nu) and s^nu / (1 + s^nu) = 1 / (1 + s^-nu);
+                # for s <= 1, where s^(p-2) overflows (p < 1.05 at subnormal s;
+                # s^nu > 0 there, or the lead term would be 0), s^(p-2) ln(1 + s^nu)
+                # = s^(p+nu-2) ln(1 + s^nu) / s^nu
+                x, s_inv = s ** (p - 2.0), s ** -nu
+                lead = (p - 1.0) * x * (nu * np.log(s) + np.log1p(s_inv))
+                large = nu * x / (1.0 + s_inv) + np.where(x == 0.0, 0.0, lead)
+                small = s ** (p + nu - 2.0) * ((p - 1.0) * (log_term / s_nu) + nu / (1.0 + s_nu))
+                out = np.where(np.isfinite(out), out, np.where(s > 1.0, large, small))
+        return _scalar_or_array(self.weight(k) * out, k, t)
 
     def growth_exponent(self) -> float:
         # ln(1 + |t|^nu) <= |t|^nu, so |F| <= w(k) |t|^(p+nu) / (p+nu)

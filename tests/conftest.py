@@ -1,8 +1,19 @@
+import contextlib
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+
+# hypothesis imports this module to report a failing example.  It pulls in
+# mypy_extensions, whose import warns; pytest's own -W error outranks the
+# ignore in pyproject.toml, so that warning would end the run in an
+# INTERNALERROR and lose the example.  Importing it here, once, avoids that.
+with warnings.catch_warnings(), contextlib.suppress(ImportError):
+    warnings.filterwarnings("ignore", "mypy_extensions.TypedDict is deprecated",
+                            DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 import dplhom
 from dplhom import (CoefficientField, CustomNonlinearity, LogPower,

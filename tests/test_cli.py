@@ -241,10 +241,10 @@ def test_cli_library_errors_map_to_numerical_exit(tmp_path, monkeypatch, error):
                 cli.EXIT_USAGE, cli.EXIT_NUMERICAL}) == 6
 
 
-def run_module(tmp_path, command, config):
-    """``python -m dplhom.cli`` in a fresh interpreter; returns the finished process."""
+def run_module(tmp_path, command, config, module="dplhom.cli"):
+    """``python -m <module>`` in a fresh interpreter; returns the finished process."""
     return subprocess.run(
-        [sys.executable, "-m", "dplhom.cli", command, "--config", config,
+        [sys.executable, "-m", module, command, "--config", config,
          "--out", str(tmp_path / "out"), "--quiet"],
         env=subprocess_env(), capture_output=True, text=True)
 
@@ -254,6 +254,15 @@ def test_cli_runs_as_a_module(tmp_path):
     assert run_module(tmp_path, "check", bad).returncode == cli.EXIT_USAGE
     assert not (tmp_path / "out" / "check_report.json").exists()
     ok = run_module(tmp_path, "check", str(CONFIG_DIR / "reference.cfg"))
+    assert ok.returncode == cli.EXIT_OK
+    assert (tmp_path / "out" / "check_report.json").exists()
+
+
+def test_package_runs_as_a_module(tmp_path):
+    # python -m dplhom runs the same CLI as python -m dplhom.cli
+    bad = write_config(tmp_path, PURE_POWER_LINES + ["solve.amplitde = 3.0"])
+    assert run_module(tmp_path, "check", bad, module="dplhom").returncode == cli.EXIT_USAGE
+    ok = run_module(tmp_path, "check", str(CONFIG_DIR / "reference.cfg"), module="dplhom")
     assert ok.returncode == cli.EXIT_OK
     assert (tmp_path / "out" / "check_report.json").exists()
 

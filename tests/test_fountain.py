@@ -17,6 +17,7 @@ from dplhom import (BasisSplit, CoefficientField, CustomNonlinearity,
                     z_sphere_radius)
 import dplhom.fountain as fountain
 from dplhom.fountain import spiral_sites
+from dplhom.nonlinearity import WEIGHT_CONVENTIONS
 from oracles import (one_shot_sphere_sample, per_point_threshold, power_method_lower_bound,
                      ratio_ascent, vertex_maximum_constant)
 
@@ -428,9 +429,9 @@ def test_threshold_no_drive_errors():
     prob = ProblemSpec(2.0, 1.0, CoefficientField.constant(Window(3)),
                        CustomNonlinearity.zero(2.0))
     with pytest.raises(FountainGeometryError,
-                       match=r"^no threshold T .*: the margin F - 2C\|t\|\^p is still "
-                             r"-2\.000e\+20 at t = 1\.00e\+10$"):
-        superlinearity_threshold(prob, c_sup=1.0, h_n=0, t_hi=1e10)
+                       match=r"^no threshold T .* below t = 1\.00e\+140: the margin "
+                             r"F - 2C\|t\|\^p is still -2\.000e\+280 at t = 1\.00e\+140$"):
+        superlinearity_threshold(prob, c_sup=1.0, h_n=0)
 
 
 def _wavy_drive(p=2.0, a=2.2):
@@ -471,7 +472,7 @@ _THRESHOLD_DRIVES = {
 @pytest.mark.parametrize("h_n", [0, 1, 3, 4])
 @pytest.mark.parametrize("c_sup", [0.5, 3.0, 422.00000000000006])
 @pytest.mark.parametrize("drive", sorted(_THRESHOLD_DRIVES))
-def test_threshold_screen_matches_per_point_scan(drive, c_sup, h_n):
+def test_threshold_matches_per_point_scan(drive, c_sup, h_n):
     nl = _THRESHOLD_DRIVES[drive]
     prob = ProblemSpec(nl.p, 1.0, CoefficientField.constant(Window(4)), nl)
     try:
@@ -541,16 +542,51 @@ def test_threshold_at_the_first_grid_point():
     assert T == 1e-3 == per_point_threshold(prob, 1e-12, 0)
 
 
-def test_threshold_note_when_no_nonnegative_margin_lasts_a_decade():
-    # F = 4 t^2 only on 9 <= |t| <= 11: the margin is nonnegative at t_hi = 10,
-    # but every [T, 10T] reaches t > 11, where F is 0
-    band = CustomNonlinearity(2.0, lambda k, t: 8.0 * t if 9.0 <= abs(t) <= 11.0 else 0.0,
-                              F_scalar=lambda k, t: 4.0 * t * t if 9.0 <= abs(t) <= 11.0 else 0.0,
+def test_threshold_of_a_drive_that_fails_h5_is_where_the_margin_first_holds():
+    # F = 40 t^2 only on 9 <= |t| <= 11 fails (H5): the margin F - 2 C t^2
+    # holds from T = 9 but not past 11, so no T passes on a whole decade.
+    # The threshold is that first T, and the Y_n sphere check, which samples
+    # J <= 0 at rho_n, reports what the threshold does not promise
+    band = CustomNonlinearity(2.0, lambda k, t: 80.0 * t if 9.0 <= abs(t) <= 11.0 else 0.0,
+                              F_scalar=lambda k, t: 40.0 * t * t if 9.0 <= abs(t) <= 11.0 else 0.0,
                               odd=True, name="band")
     prob = ProblemSpec(2.0, 1.0, CoefficientField.constant(Window(3)), band)
-    with pytest.raises(FountainGeometryError,
-                       match=r": every grid point with a nonnegative margin fails on \[T, 10T\]$"):
-        superlinearity_threshold(prob, c_sup=1.0, h_n=1, t_hi=10.0)
+    assert superlinearity_threshold(prob, c_sup=4.0, h_n=1) == 9.0
+    assert per_point_threshold(prob, 4.0, 1) == 9.0
+    assert band.F(0, 12.0) - 2.0 * 4.0 * 12.0 ** 2 < 0.0
+    with pytest.raises(FountainGeometryError):
+        per_point_threshold(prob, 4.0, 1, t_samples=64)
+    row, = fountain_table(prob, q=4.0, d=1.0, n_list=[2], seed=0, samples=200)
+    assert (row.c_sup, row.support_radius) == pytest.approx((4.0, 1))
+    assert row.threshold == 9.0 and row.y_violations > 0 and row.y_max_energy > 0.0
+
+
+@st.composite
+def _h5_drives(draw):
+    """A drawn LogPower or PurePower drive: both meet (H5)."""
+    p = draw(st.sampled_from([1.5, 2.0, 3.0]) | st.floats(1.1, 4.0))
+    if draw(st.booleans()):
+        return LogPower(p, draw(st.floats(1.01, 6.0)), draw(st.just(p) | st.floats(1.0, 4.0)),
+                        draw(st.sampled_from(WEIGHT_CONVENTIONS)))
+    return PurePower(p, p + draw(st.floats(0.1, 3.0)), draw(st.floats(0.01, 10.0)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(nl=_h5_drives(), c_sup=st.floats(1e-3, 1e3), h_n=st.integers(0, 12))
+@example(nl=LogPower(2.0, 2.0, 2.0), c_sup=422.00000000000006, h_n=4)
+@example(nl=PurePower(3.0, 3.1, 0.01), c_sup=1e3, h_n=0)
+def test_threshold_at_t_alone_keeps_the_decade_test_result_under_h5(nl, c_sup, h_n):
+    # under (H5) F / |t|^p is nondecreasing, so the margin at T decides what
+    # the earlier 64 samples of [T, 10T] decided: the same T, or the same raise
+    prob = ProblemSpec(nl.p, 1.0, CoefficientField.constant(Window(1)), nl)
+    try:
+        want = per_point_threshold(prob, c_sup, h_n, t_samples=64)
+    except FountainGeometryError as exc:
+        with pytest.raises(FountainGeometryError) as got:
+            superlinearity_threshold(prob, c_sup, h_n)
+        assert str(got.value).startswith(str(exc) + ": ")
+    else:
+        assert superlinearity_threshold(prob, c_sup, h_n) == want
 
 
 @pytest.mark.parametrize("h_n", [0, 50, 80, 100])
@@ -753,10 +789,10 @@ def test_fountain_table_reference_small():
             assert r.y_max_energy <= 1e-9
 
 
-def test_fountain_table_p3_threshold_screen_overflows_quietly():
-    # On the reference coefficients at p = 3, |F| + 2 C_n |t|^p in the
-    # threshold screen passes float64 max while both terms are finite; the
-    # screen must still decide without warning (warnings are errors here).
+def test_fountain_table_p3_threshold_overflows_quietly():
+    # On the reference coefficients at p = 3, F and 2 C_n |t|^p leave float64
+    # range before any T passes; the scan must say so without warning
+    # (warnings are errors here).
     coeffs = CoefficientField.polynomial(Window(50), exponent=2.0)
     prob = ProblemSpec(3.0, 1.0, coeffs, LogPower(3.0, 2.0, 3.0))
     d = check_hypothesis(prob.nonlinearity, "H2", SamplingPlan.default()).constants["d"]

@@ -80,8 +80,10 @@ _SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.5, 1e300])
 
 
 def test_phi_p_at_p2_is_the_general_formula():
-    # phi_2(t) = t + 0.0 and phi_2'(t) = min(1, cap) are the general
-    # formulas' bits at every t, NaN, infinities and both zeros included
+    # phi_2(t) = t + 0.0 is the general formula's bits at every t, NaN,
+    # infinities and both zeros included; phi_2' has no shortcut, and the
+    # general formula gives min(1, cap) there
+    assert _bits(phi_p_prime(2.0, _SPECIAL, cap=None)) == _bits(np.ones(_SPECIAL.size))
     for t in (_SPECIAL, _SPECIAL.reshape(2, 4), -0.0, np.nan, np.array(-np.inf)):
         want = general_phi_p(2.0, t)
         got = phi_p(2.0, t)

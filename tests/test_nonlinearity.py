@@ -293,18 +293,62 @@ def test_df_dt_matches_finite_differences(rng):
 @pytest.mark.parametrize("nu", [1.0, 1.5, 2.0, 2.5, 3.7])
 def test_log_power_df_dt_at_p2_keeps_the_general_formula_bits(nu):
     # at p = 2 the lead term (p - 1) |t|^(p-2) ln(1 + |t|^nu) is taken as the
-    # log term itself: the same bits at every t, 0, inf and NaN included
+    # log term itself: the same bits at every t where the general formula is
+    # finite, 0 included; NaN stays NaN
     nl = LogPower(2.0, 2.0, nu)
     k = np.arange(-6, 6)
-    t = np.array([0.0, -0.0, 5e-324, 1e-300, 1e-8, 0.3, -1.7, 2.5e3, 1e160, -1e300,
-                  np.inf, -np.inf, np.nan])[:, None]
+    t = np.array([0.0, -0.0, 5e-324, 1e-300, 1e-8, 0.3, -1.7, 2.5e3, 1e60, -1e80,
+                  np.nan])[:, None]
     s = np.abs(t)
     with np.errstate(all="ignore"):
         log_term = np.log1p(s ** nu)
         lead = np.where(log_term == 0.0, 0.0, (2.0 - 1.0) * s ** (2.0 - 2.0) * log_term)
         want = nl.weight(k) * (lead + nu * s ** (2.0 + nu - 2.0) / (1.0 + s ** nu))
-        assert _bits(nl.df_dt(k, t)) == _bits(want)
-        assert _bits([nl.df_dt(3, float(x)) for x in t[:, 0]]) == _bits(want[:, 9])
+    assert np.all(np.isfinite(want[:-1]))
+    assert _bits(nl.df_dt(k, t)) == _bits(want)
+    assert _bits([nl.df_dt(3, float(x)) for x in t[:, 0]]) == _bits(want[:, 9])
+
+
+def _log_power_df_dt_reference(p, nu, t):
+    """df/dt / w(k) of ``LogPower`` at t in 50 digits, as a float (inf past float64)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        s = abs(mpmath.mpf(t))
+        z = s ** nu
+        return float((p - 1) * s ** (p - 2) * mpmath.log1p(z) + nu * s ** (p + nu - 2) / (1 + z))
+
+
+@pytest.mark.parametrize("nu", [1.0, 2.0, 3.7])
+@pytest.mark.parametrize("p", [1.01, 1.5, 2.0, 3.0])
+def test_log_power_df_dt_where_the_direct_formula_overflows(p, nu):
+    # the direct formula overflows to inf or NaN (inf / inf) where |t|^nu or
+    # nu |t|^(p+nu-2) passes float64 max; at p = nu = 2, t = 1e154 the
+    # derivative is about 711 w(k).  At p = 1.01 |t|^(p-2) overflows at
+    # t = 5e-324.  There df_dt takes forms of the same terms that stay in
+    # range, without a warning, and keeps the bits of every value the direct
+    # formula gets finite
+    nl = LogPower(p, 2.0, nu)
+    k = np.arange(-3, 4)
+    t = np.concatenate([[1e154, -1e155, 1e200, 1e300, -1.7e308, 5e-324, -1e-310],
+                        np.geomspace(1e-300, 1e308, 400)])[:, None]
+    s = np.abs(t)
+    with np.errstate(all="ignore"):
+        log_term = np.log1p(s ** nu)
+        lead = np.where(log_term == 0.0, 0.0, (p - 1.0) * s ** (p - 2.0) * log_term)
+        direct = nl.weight(k) * (lead + nu * s ** (p + nu - 2.0) / (1.0 + s ** nu))
+    got = nl.df_dt(k, t)
+    finite = np.isfinite(direct)
+    # s^nu and s^(p+nu-2) stay finite at nu = 1 and p < 3, and s^(p-2) at p > 1.05
+    assert finite.all() == (nu == 1.0 and 1.05 < p < 3.0)
+    assert _bits(got[finite]) == _bits(direct[finite])
+    for x, row in zip(t[~finite.all(axis=1), 0], got[~finite.all(axis=1)]):
+        want = nl.weight(k) * _log_power_df_dt_reference(p, nu, x)
+        np.testing.assert_allclose(row, want, rtol=1e-13)
+    if p == nu == 2.0:
+        assert nl.df_dt(0, 1e154) == pytest.approx(711.196, rel=1e-6)
+    # at |t| = inf: inf for p >= 2, and the limit 0 for p < 2; NaN stays NaN
+    edge = nl.df_dt(0, np.array([np.inf, -np.inf, np.nan]))
+    assert _bits(edge) == _bits([np.inf if p >= 2.0 else 0.0] * 2 + [np.nan])
 
 
 def test_custom_df_dt_without_a_derivative_takes_central_differences():
