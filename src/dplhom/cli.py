@@ -11,7 +11,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 partial result, 2 refutation or violation,
 3 inconclusive-only, 64 malformed configuration or usage, 70 numerical
-failure (a failed mountain pass or fountain geometry).
+failure (a MountainPassError or FountainGeometryError that escapes; today
+sequence and fountain catch both, so no subcommand exits 70).
 """
 
 from __future__ import annotations

@@ -125,9 +125,7 @@ class BasisSplit:
 
     def spike_norms(self, sites: np.ndarray) -> np.ndarray:
         """Weighted norm of the unit spike at each site."""
-        pos = sites + self.window.half_width
-        a, b = self.coeffs.a, self.coeffs.b
-        return (a[pos] + a[pos + 1] + b[pos]) ** (1.0 / self.p)
+        return self.coeffs.stiffness[sites + self.window.half_width] ** (1.0 / self.p)
 
 
 def _embed(window: Window, sites: np.ndarray, coords: np.ndarray) -> np.ndarray:
@@ -260,8 +258,8 @@ def embedding_profile(coeffs: CoefficientField, p: float, q: float | Sequence[fl
     window = coeffs.window
     out = {}
     if p == 2.0:
-        a, b, off = coeffs.a, coeffs.b, -coeffs.a[1:-1]
-        A = np.diag(a[:-1] + a[1:] + b) + np.diag(off, 1) + np.diag(off, -1)
+        off = -coeffs.a[1:-1]
+        A = np.diag(coeffs.stiffness) + np.diag(off, 1) + np.diag(off, -1)
         for n in n_sorted:
             pos = BasisSplit(coeffs, p, n).z_sites + window.half_width
             A_Z = A[np.ix_(pos, pos)]

@@ -190,6 +190,11 @@ class CoefficientField:
         b_arr = np.asarray(b, dtype=float)
         return cls(window, a, b_arr, float(b_arr.min()) if b0 is None else float(b0))
 
+    @cached_property
+    def stiffness(self) -> np.ndarray:
+        """One-site stiffness s(k) = (a(k) + a(k+1)) + b(k) on {-K..K}; built once, read-only."""
+        return _frozen_array((self.a[:-1] + self.a[1:]) + self.b)
+
     @property
     def rewindowable(self) -> bool:
         """Whether ``with_window`` can rebuild the field; a table-built one cannot."""

@@ -26,13 +26,13 @@ call; scipy.linalg loads at the first solve, so importing this module needs
 numpy only.
 
 find_critical_points and solution_sequence run one enumeration engine,
-multistart Newton then deflation rounds from the one-site bump starts, and
-differ only in the data they pass it.  Solutions are taken up to sign only
-for an odd drive (``Nonlinearity.is_odd``).  A bump start's height is the
-drive's closed-form one-site balance where it has one, else a scan and
-bisection of the balance gap (``bump_amplitude``).  solution_sequence
-keeps one rung per run of energies tied to rounding, the greatest in
-lexicographic order of values, so a mirror twin never replaces a rung.
+multistart Newton into one root store, then deflation rounds from the
+one-site bump starts, and differ only in the data they pass it.  Solutions
+are taken up to sign only for an odd drive (``Nonlinearity.is_odd``).  A
+bump start's height is the drive's closed-form one-site balance where it
+has one, else a scan and bisection of the balance gap (``bump_amplitude``).
+solution_sequence keeps one rung per run of energies tied to rounding, the
+greatest in lexicographic order of values: a mirror twin never replaces it.
 
 Convergence is always declared on the infinity norm of the residual, never
 on step size (steps can stagnate near clamped Jacobian entries for p < 2).
@@ -203,7 +203,7 @@ def _jacobian_bands(v: np.ndarray, prob: ProblemSpec) -> np.ndarray:
     """Banded (ab) form of the tridiagonal residual Jacobian.
 
     At p = 2, phi_p' is 1.0 everywhere and x * 1.0 = x, so the off-diagonals
-    are -a(k) and the main diagonal is (a(k) + a(k+1)) + b(k) - lambda f_t(k, v):
+    are -a(k) and the main diagonal is the stiffness s(k) - lambda f_t(k, v):
     the general formula's bits without its phi_p' evaluations.
     """
     n = v.size
@@ -211,7 +211,7 @@ def _jacobian_bands(v: np.ndarray, prob: ProblemSpec) -> np.ndarray:
     drive = prob.lam * prob.nonlinearity.df_dt(prob.window.indices, v)
     if prob.p == 2.0:
         off = -a[1:-1]
-        main = (a[:-1] + a[1:]) + b - drive
+        main = prob.coeffs.stiffness - drive
     else:
         w = phi_p_prime(prob.p, _diff_many(v), cap=JACOBIAN_CAP)  # length n+1
         wp = phi_p_prime(prob.p, v, cap=JACOBIAN_CAP)
@@ -362,10 +362,7 @@ def deflated_solve(known, u0: LatticeSeq, prob: ProblemSpec,
 
 def _anchor_values(known, odd: bool) -> np.ndarray:
     """Known roots, plus their negations if ``odd``, one distinct row each."""
-    if isinstance(known, SolutionSet):
-        rows = [r.u.values for r in known]
-    else:
-        rows = [getattr(w, "values", w) for w in known]
+    rows = [w.u.values if isinstance(w, SolveResult) else getattr(w, "values", w) for w in known]
     if not rows:
         raise ValueError("deflated_solve needs at least one known solution")
     W = np.array(rows, dtype=float)
@@ -424,31 +421,29 @@ class SolutionSet:
     the same physical solution: members are compared up to sign and stored
     with a canonical sign (first significant entry positive), which makes
     merging order-independent.  Without it every member keeps its own sign.
+    Members stand in a stable sort's order of (energy, values as a list),
+    which for finite values is the order of (energy, tuple(values)).
     """
 
     warning: Optional[str] = None
     odd: bool = False
     _items: list = field(default_factory=list)
-    # members' values stacked per shape for contains_close; emptied by add
-    _stacks: dict = field(default_factory=dict, repr=False, compare=False)
 
     def add(self, result: SolveResult) -> bool:
-        if self.contains_close(result.u.values):
-            return False
         v = _canonical_values(result.u.values, self.odd)
-        # after any equal (energy, values) key, as a stable sort would put it
+        if self._close(v):
+            return False
         bisect.insort(self._items, replace(result, u=LatticeSeq(result.u.window, v)),
-                      key=lambda r: (r.energy, tuple(r.u.values)))
-        self._stacks.clear()
+                      key=lambda r: (r.energy, r.u.values.tolist()))
         return True
 
     def contains_close(self, values: np.ndarray) -> bool:
         """Whether a member of ``values``' shape is within DEDUP_TOL of it (up to sign if odd)."""
-        v = _canonical_values(values, self.odd)
-        stack = self._stacks.get(v.shape)
-        if stack is None:
-            rows = [o.u.values for o in self._items if o.u.values.shape == v.shape]
-            stack = self._stacks[v.shape] = np.array(rows).reshape(len(rows), v.size)
+        return self._close(_canonical_values(values, self.odd))
+
+    def _close(self, v: np.ndarray) -> bool:  # members of v's shape, stacked on each call
+        rows = [o.u.values for o in self._items if o.u.values.shape == v.shape]
+        stack = np.array(rows).reshape(len(rows), v.size)
         return bool((np.abs(stack - v).max(axis=1) <= DEDUP_TOL).any())
 
     @property
@@ -485,8 +480,7 @@ def bump_amplitude(prob: ProblemSpec, site: int | np.ndarray) -> Optional[float]
 
     sites = np.ravel(site)
     pos = np.array([prob.window.position(k) for k in sites.tolist()], dtype=int)
-    a, b = prob.coeffs.a, prob.coeffs.b
-    stiff = a[pos] + a[pos + 1] + b[pos]
+    stiff = prob.coeffs.stiffness[pos]
     amp = prob.nonlinearity.balance_amplitude(sites, stiff, prob.lam)
     if amp is None:
         amp = np.full(sites.size, np.nan)
@@ -539,28 +533,31 @@ def _enumerate(prob: ProblemSpec, cfg: SolverConfig, initial, starts, accept, do
                max_rounds: int, jitter: float, extra_starts=()) -> SolutionSet:
     """Multistart Newton over ``starts`` then ``extra_starts``; deflation rounds over ``starts``.
 
-    Zero is an anchor.  Zero, each ``initial`` result and each multistart
-    root not yet stored is stored, and anchored, if ``accept`` returns a
-    result for it.  A round deflates from each of ``starts`` times 1 +
-    jitter N(0, 1), drawn from ``np.random.default_rng(cfg.seed)``, anchors
-    every new converged root and stores the accepted ones.  Rounds stop once
-    ``done(stored)`` holds, after a round that stores nothing, or at
-    ``max_rounds``.
+    Zero, each ``initial`` result and each multistart root not yet stored is
+    stored if ``accept`` returns a result for it.  The first round anchors
+    zero, then each stored root (only zero can turn one away).  A round
+    deflates from each of ``starts`` times 1 + jitter N(0, 1), drawn from
+    ``np.random.default_rng(cfg.seed)``, anchors every new converged root
+    and stores the accepted ones.  Rounds stop once ``done(stored)`` holds,
+    after a round that stores nothing, or at ``max_rounds``.
     """
     odd = prob.nonlinearity.is_odd
-    stored, anchors = SolutionSet(odd=odd), SolutionSet(odd=odd)
+    stored, anchors = SolutionSet(odd=odd), None
     zero = _finish(np.zeros(prob.window.size), prob, cfg, 0)
-    anchors.add(zero)
     solved = (newton_solve(LatticeSeq(prob.window, v), prob, cfg)
               for v in itertools.chain(starts, extra_starts))
     for res in itertools.chain([zero], initial, solved):
         acc = None if stored.contains_close(res.u.values) else accept(res)
-        if acc is not None and stored.add(acc):
-            anchors.add(acc)
+        if acc is not None:
+            stored.add(acc)
     rng = np.random.default_rng(cfg.seed)
     for _ in range(max_rounds):
         if done(stored):
             break
+        if anchors is None:
+            anchors = SolutionSet(odd=odd)
+            for res in itertools.chain([zero], stored):
+                anchors.add(res)
         added = False
         for v in starts:
             u0 = LatticeSeq(prob.window, v * (1.0 + jitter * rng.standard_normal(v.shape)))
@@ -596,15 +593,13 @@ def find_critical_points(prob: ProblemSpec, cfg: SolverConfig, *,
 
 def _sequence_accept(res: SolveResult, prob: ProblemSpec, cfg: SolverConfig):
     """Full acceptance for sequence members: residual, decay, continuation."""
-    if not res.converged or res.residual_inf_norm > cfg.residual_tol:
-        return None
-    if res.energy <= 1e-8:  # excludes the zero solution and numerical ghosts
-        return None
-    if res.tail_mass > TAIL_TOL:
+    # energy <= 1e-8 excludes the zero solution and numerical ghosts
+    if not res.converged or res.energy <= 1e-8 or res.tail_mass > TAIL_TOL:
         return None
     K = prob.window.half_width
     rep = window_continuation(res, prob, K + CONTINUATION_GROWTH, cfg)
-    if rep.truncation_artifact or not rep.result.converged or rep.drift >= DRIFT_TOL:
+    # |u(+-K)| <= tail_mass <= TAIL_TOL here, so rep.truncation_artifact is false
+    if not rep.result.converged or rep.drift >= DRIFT_TOL:
         return None
     extras = dict(res.extras)
     extras["continuation"] = {"drift": rep.drift, "half_width": K + CONTINUATION_GROWTH,

@@ -378,6 +378,25 @@ def test_residual_is_energy_gradient(rng):
 
 # ---- tail mass / cerami -----------------------------------------------------
 
+@pytest.mark.parametrize("K", [1, 3, 25])
+def test_stiffness_is_the_one_site_formula_and_read_only(K):
+    window = Window(K)
+    rng = np.random.default_rng(K)
+    fields = [CoefficientField.polynomial(window, exponent=1.5, a=0.3),
+              CoefficientField.from_arrays(window, rng.uniform(0.1, 10.0, 2 * K + 2),
+                                           rng.uniform(1.0, 1e3, 2 * K + 1))]
+    for c in fields:
+        s = c.stiffness
+        assert np.array_equal(s, (c.a[:-1] + c.a[1:]) + c.b)
+        pos = np.arange(window.size)
+        assert np.array_equal(s, c.a[pos] + c.a[pos + 1] + c.b[pos])
+        assert c.stiffness is s and not s.flags.writeable
+        with pytest.raises(ValueError):
+            s[0] = 0.0
+        with pytest.raises(AttributeError):
+            c.stiffness = s
+
+
 def test_tail_mass_spike():
     u = LatticeSeq.spike(Window(3), 0, 1.0)
     assert tail_mass(u, 1, 2.0) == 0.0

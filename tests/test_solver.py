@@ -1,5 +1,7 @@
 import dataclasses
+import itertools
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from dplhom import (CoefficientField, CustomNonlinearity, LatticeSeq, LogPower,
                     energy, energy_parts, find_critical_points, mountain_pass,
                     newton_solve, residual, residual_many, solution_sequence,
                     sup_norm, weighted_norm, window_continuation)
+from dplhom.config import parse_config_text
 from dplhom.solver import (_anchor_values, _deflation_terms, _jacobian_bands,
                            _newton_values, _strict_ladder)
 from conftest import (make_constant_problem, make_pure_power_problem,
@@ -1048,21 +1051,41 @@ def test_sequence_accept_refuses_a_heavy_tail_before_continuation(monkeypatch, c
     assert solver._sequence_accept(res, prob, cfg) is None
 
 
-@pytest.mark.parametrize("flaw", ["truncation_artifact", "not_converged", "drift"])
+@pytest.mark.parametrize("flaw", ["not_converged", "drift"])
 def test_sequence_accept_refuses_a_failed_continuation(monkeypatch, cfg, flaw):
     # the central rung passes every filter; the same rung with a continuation
-    # report that fails any one of its three tests is refused
+    # report that fails either of its two tests is refused (a truncation
+    # artifact cannot pass the tail test: test_tail_mass_bounds_the_boundary_peak)
     prob = make_reference_problem(K=12)
     res = newton_solve(LatticeSeq.spike(prob.window, 0, bump_amplitude(prob, 0)), prob, cfg)
     accepted = solver._sequence_accept(res, prob, cfg)
     assert accepted is not None and accepted.extras["continuation"]["half_width"] == 22
     report = solver.window_continuation(res, prob, 22, cfg)
-    bad = {"truncation_artifact": dataclasses.replace(report, truncation_artifact=True),
-           "not_converged": dataclasses.replace(
+    bad = {"not_converged": dataclasses.replace(
                report, result=dataclasses.replace(report.result, converged=False)),
            "drift": dataclasses.replace(report, drift=solver.DRIFT_TOL)}[flaw]
     monkeypatch.setattr(solver, "window_continuation", lambda *args: bad)
     assert solver._sequence_accept(res, prob, cfg) is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 40), st.sampled_from([1.5, 2.0, 3.0]),
+       hnp.arrays(float, 81, elements=st.floats(-1e6, 1e6).map(
+           lambda x: x if abs(x) >= 1e-60 else 0.0)))
+@example(1, 3.0, np.r_[0.0, 0.0, 4.0, np.zeros(78)])
+def test_tail_mass_bounds_the_boundary_peak(K, p, draw):
+    # the tail starts at floor(0.8 K) < K and the p-norm bounds the sup, so a
+    # root that passes the tail test has |u(+-K)| <= TAIL_TOL: never the
+    # boundary_peak > 1e-3 of a truncation artifact.  At p = 3 a lone 4.0
+    # gives (4^3)^(1/3) = 3.9999999999999996, hence the rounding slack.
+    window = Window(K)
+    u = LatticeSeq(window, draw[:window.size])
+    h = solver._tail_threshold(window)
+    assert h < K
+    mass = lattice.tail_mass(u, h, p)
+    peak = max(abs(u.value_at(-K)), abs(u.value_at(K)))
+    assert mass >= peak * (1.0 - 1e-12)
+    assert not (peak > 1e-3 and mass <= solver.TAIL_TOL)
 
 
 def test_sequence_strictly_increasing(ref_problem, cfg):
@@ -1098,6 +1121,100 @@ def test_sequence_deflation_rounds_add_a_rung(monkeypatch):
                for r in deflated[:n_starts])
 
 
+def _lockstep_anchors(prob, cfg, initial, starts, accept, extra_starts=()):
+    """The anchors a multistart phase that anchors as it stores would hold.
+
+    Zero first, then each root in the order the multistart phase stored it.
+    """
+    odd = prob.nonlinearity.is_odd
+    stored, anchors = SolutionSet(odd=odd), SolutionSet(odd=odd)
+    zero = solver._finish(np.zeros(prob.window.size), prob, cfg, 0)
+    anchors.add(zero)
+    solved = [newton_solve(LatticeSeq(prob.window, v), prob, cfg)
+              for v in itertools.chain(starts, extra_starts)]
+    for res in [zero, *initial, *solved]:
+        acc = None if stored.contains_close(res.u.values) else accept(res)
+        if acc is not None and stored.add(acc):
+            anchors.add(acc)
+    return list(anchors)
+
+
+def _recorded_anchors(monkeypatch) -> list:
+    """Patch deflated_solve to record the members of ``known`` at each call."""
+    calls = []
+    plain = solver.deflated_solve
+
+    def recorded(known, *args):
+        calls.append(list(known))
+        return plain(known, *args)
+
+    monkeypatch.setattr(solver, "deflated_solve", recorded)
+    return calls
+
+
+def _assert_same_members(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.energy == w.energy and np.array_equal(g.u.values, w.u.values)
+
+
+@pytest.mark.parametrize("K", [1, 2])
+def test_find_critical_points_anchors_zero_then_the_stored_roots(monkeypatch, cfg, K):
+    # the anchors built when the first round starts are the members, in
+    # order and bit for bit, of a set anchored in lockstep with the store
+    prob = make_pure_power_problem(K=K)
+    calls = _recorded_anchors(monkeypatch)
+    find_critical_points(prob, cfg, random_starts=20)
+    extra = np.random.default_rng(cfg.seed).uniform(-2.0, 2.0, size=(20, prob.window.size))
+    want = _lockstep_anchors(prob, cfg, [], solver._candidate_starts(prob, max_site=3),
+                             lambda res: res if res.converged else None, extra)
+    assert len(want) > 2
+    _assert_same_members(calls[0], want)
+
+
+def test_sequence_anchors_zero_then_the_stored_roots(monkeypatch):
+    # the K = 12 reference ladder of test_sequence_deflation_rounds_add_a_rung;
+    # the anchors only grow from call to call
+    prob = make_reference_problem(K=12)
+    cfg = SolverConfig(seed=12345)
+    calls = _recorded_anchors(monkeypatch)
+    sols = solution_sequence(prob, cfg, 6)
+    assert len(sols) == 5
+    mp = solver._first_pass_state(prob, cfg)
+    want = _lockstep_anchors(prob, cfg, [] if mp is None else [mp],
+                             solver._candidate_starts(prob, max_site=4),
+                             lambda res: solver._sequence_accept(res, prob, cfg))
+    assert len(want) > 2
+    _assert_same_members(calls[0], want)
+    sizes = [len(known) for known in calls]
+    assert sizes == sorted(sizes) and sizes[-1] > sizes[0]
+
+
+def test_sequence_without_deflation_adds_each_stored_root_once(monkeypatch):
+    # configs/reference.cfg reaches its 3 rungs before any deflation round:
+    # no anchor set is built, so every add stores a root
+    run = parse_config_text((Path(__file__).resolve().parents[1] / "configs"
+                             / "reference.cfg").read_text(encoding="utf-8"))
+    prob, cfg = run.build_problem(), run.build_solver(None)
+    adds, pools = [], []
+    plain_add, plain_enumerate = SolutionSet.add, solver._enumerate
+
+    def counted(self, result):
+        adds.append(plain_add(self, result))
+        return adds[-1]
+
+    def kept(*args, **kwargs):
+        pools.append(plain_enumerate(*args, **kwargs))
+        return pools[-1]
+
+    monkeypatch.setattr(SolutionSet, "add", counted)
+    monkeypatch.setattr(solver, "_enumerate", kept)
+    monkeypatch.setattr(solver, "deflated_solve", lambda *args: pytest.fail("deflation ran"))
+    sols = solution_sequence(prob, cfg, 3)
+    assert len(sols) == 3 and sols.warning is None
+    assert len(adds) == len(pools[0]) >= 3 and all(adds)
+
+
 def test_enumerate_anchors_the_roots_it_rejects(monkeypatch):
     # every converged deflated root becomes an anchor, accepted or not, and
     # a round that stores nothing is the last one
@@ -1118,6 +1235,24 @@ def test_enumerate_anchors_the_roots_it_rejects(monkeypatch):
     assert len(n_anchors) == len(starts)
     assert n_anchors[0] == 1 and n_anchors[-1] > 1
     assert n_anchors == sorted(n_anchors)
+
+
+def test_enumerate_rounds_keep_the_roots_earlier_rounds_rejected(monkeypatch):
+    # accept takes every other converged root, so the rounds store some and
+    # reject some; the anchors only grow from round to round
+    prob = make_pure_power_problem(K=2)
+    calls = _recorded_anchors(monkeypatch)
+    turn = itertools.count()
+
+    def every_other(res):
+        return res if res.converged and next(turn) % 2 == 0 else None
+
+    starts = solver._candidate_starts(prob)
+    stored = solver._enumerate(prob, SolverConfig(seed=0), [], starts, accept=every_other,
+                               done=lambda stored: False, max_rounds=4, jitter=0.0)
+    sizes = [len(known) for known in calls]
+    assert len(sizes) > 2 * len(starts)
+    assert sizes == sorted(sizes) and sizes[len(starts)] > len(stored) + 1
 
 
 def test_enumerate_checks_a_root_only_until_it_is_stored(cfg):
